@@ -165,14 +165,9 @@ fn run_batched(
         })
         .collect();
     let wall = start.elapsed();
-    // A sharded batch pays one fix-point per *chunk*; the scheduler counts
-    // the chunks its sharded batches actually executed (spills included).
-    let stats = scheduler.stats();
-    let fixpoints = if num_shards > 1 {
-        stats.sharded_chunks
-    } else {
-        stats.batches
-    };
+    // A batch pays one fix-point per *chunk*; the scheduler counts the
+    // chunks its batches actually executed (spills included).
+    let fixpoints = scheduler.stats().sharded_chunks;
     Measurement {
         label,
         batch_size,

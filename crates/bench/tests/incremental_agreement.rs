@@ -10,9 +10,10 @@
 //! replayed.
 
 use lobster::{
-    Device, DeviceConfig, DynProgram, DynSession, FactSet, Lobster, ProvenanceKind, Value,
+    Device, DeviceConfig, DynProgram, DynSession, FactSet, Lobster, ProvenanceKind, RuntimeOptions,
+    Value,
 };
-use lobster_provenance::{InputFactId, Unit};
+use lobster_provenance::{AddMultProb, InputFactId, Unit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -291,24 +292,66 @@ fn reset_clears_materialized_state() {
     // Satellite regression: a recycled session must not leak a previous
     // request's deltas through the materialized fix point.
     let program = DynProgram::compile(TC, ProvenanceKind::Unit).unwrap();
-    let pool = program.session_pool();
-    {
-        let mut session = pool.acquire();
+    let mut session = program.session();
+    let mut facts = FactSet::new();
+    facts.add("edge", &[Value::U32(0), Value::U32(1)], None);
+    session.insert_facts(&facts).unwrap();
+    assert_eq!(session.run_incremental().unwrap().len("path"), 1);
+    assert!(session.is_materialized());
+    session.reset();
+    assert!(
+        !session.is_materialized(),
+        "reset session kept a materialized fix point"
+    );
+    assert!(
+        session.run_incremental().unwrap().is_empty("path"),
+        "reset session leaked the previous request's facts"
+    );
+}
+
+#[test]
+fn a_failed_refresh_leaves_no_state_a_retry_could_trust() {
+    // Two strata (`succ`, then the recursive `reach`) under a tight
+    // iteration cap: a 6-edge chain materializes, but 20 more edges push
+    // `reach` past the cap mid-refresh, after `succ` has already been
+    // recomputed. A retry must not trust that half-refreshed state — it has
+    // to agree with a from-scratch run on the same session: the same `Ok`,
+    // or the same `Err`.
+    const TWO_STRATA: &str = "type edge(x: u32, y: u32)
+        rel succ(x, y) = edge(x, y)
+        rel reach(x, y) = succ(x, y) or (reach(x, z) and succ(z, y))
+        query reach";
+    let program = Lobster::builder(TWO_STRATA)
+        .options(RuntimeOptions {
+            max_iterations: 10,
+            ..RuntimeOptions::default()
+        })
+        .compile_typed::<AddMultProb>()
+        .unwrap();
+    let chain = |from: u32, to: u32| {
         let mut facts = FactSet::new();
-        facts.add("edge", &[Value::U32(0), Value::U32(1)], None);
-        session.insert_facts(&facts).unwrap();
-        assert_eq!(session.run_incremental().unwrap().len("path"), 1);
-        assert!(session.is_materialized());
-    } // released: Drop resets the session
-    {
-        let mut session = pool.acquire();
-        assert!(
-            !session.is_materialized(),
-            "recycled session kept a materialized fix point"
-        );
-        assert!(
-            session.run_incremental().unwrap().is_empty("path"),
-            "recycled session leaked the previous request's facts"
-        );
+        for i in from..to {
+            facts.add("edge", &[Value::U32(i), Value::U32(i + 1)], Some(0.9));
+        }
+        facts
+    };
+    let mut session = program.session();
+    session.insert_facts(&chain(0, 6)).unwrap();
+    assert!(session.run_incremental().is_ok(), "6 edges fit the cap");
+    session.insert_facts(&chain(6, 26)).unwrap();
+    assert!(
+        session.run_incremental().is_err(),
+        "26 edges exceed the cap"
+    );
+    let retry = session.run_incremental();
+    let scratch = session.run();
+    match (&retry, &scratch) {
+        (Ok(got), Ok(want)) => assert_identical(got, want, "retry after a failed refresh"),
+        (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+        _ => panic!(
+            "retry and from-scratch disagree: retry {:?}, scratch {:?}",
+            retry.as_ref().map(|r| r.len("reach")),
+            scratch.as_ref().map(|r| r.len("reach")),
+        ),
     }
 }

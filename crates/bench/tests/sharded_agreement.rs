@@ -1,4 +1,4 @@
-//! Cross-shard differential suite: `run_batch_sharded` must be
+//! Cross-shard differential suite: a `ShardedExecutor` must be
 //! indistinguishable from single-device `run_batch` — same tuples, same
 //! probabilities, same gradients (and through them the proof supports) — for
 //! every shard count, provenance kind, skew shape, and memory-budget spill.
@@ -71,7 +71,10 @@ fn sharded_is_bit_identical_to_single_device_across_kinds_and_shard_counts() {
             let samples = random_clutrr_batch(seed);
             let reference = program.run_batch(&samples).unwrap();
             for shards in 1..=4 {
-                let sharded = program.run_batch_sharded(&samples, shards).unwrap();
+                let sharded = program
+                    .sharded_executor(ShardConfig::default().with_num_shards(shards))
+                    .run_batch(&samples)
+                    .unwrap();
                 assert_batches_identical(
                     &sharded,
                     &reference,
@@ -112,7 +115,10 @@ fn empty_batch_agrees_for_every_shard_count() {
     let reference = program.run_batch(&[]).unwrap();
     assert!(reference.is_empty());
     for shards in 1..=4 {
-        let sharded = program.run_batch_sharded(&[], shards).unwrap();
+        let sharded = program
+            .sharded_executor(ShardConfig::default().with_num_shards(shards))
+            .run_batch(&[])
+            .unwrap();
         assert!(sharded.is_empty(), "shards {shards}");
     }
 }

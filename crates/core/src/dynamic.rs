@@ -63,11 +63,12 @@ macro_rules! define_dyn_program {
         /// A persistent sharded executor over a [`DynProgram`] — the
         /// provenance-erased face of
         /// [`ShardedExecutor`](crate::ShardedExecutor), built with
-        /// [`DynProgram::sharded_executor`]. Its shard worker threads are
-        /// spawned once (at construction) and fed every batch over
-        /// channels; dropping the executor tears them down. A serving
-        /// layer holds **one** of these for a program's whole lifetime
-        /// instead of paying thread spawn/join per batch.
+        /// [`DynProgram::sharded_executor`] or
+        /// [`DynProgram::batching_executor`]. Its shard worker threads are
+        /// spawned once (at construction) and run every batch; dropping
+        /// the executor tears them down. A serving layer holds **one** of
+        /// these for a program's whole lifetime instead of paying thread
+        /// spawn/join per batch.
         #[derive(Debug)]
         pub enum DynShardedExecutor {
             $(
@@ -90,6 +91,43 @@ macro_rules! define_dyn_program {
             pub fn config(&self) -> &crate::ShardConfig {
                 match self {
                     $( DynShardedExecutor::$variant(e) => e.config(), )*
+                }
+            }
+
+            /// The shard devices, indexed by shard.
+            pub fn shard_devices(&self) -> Vec<&lobster_gpu::Device> {
+                match self {
+                    $( DynShardedExecutor::$variant(e) => e.shard_devices(), )*
+                }
+            }
+
+            /// Queues one sample for the workers to batch; see
+            /// [`ShardedExecutor::submit`](crate::ShardedExecutor::submit).
+            pub fn submit(&self, facts: FactSet, reply: crate::Reply) {
+                match self {
+                    $( DynShardedExecutor::$variant(e) => e.submit(facts, reply), )*
+                }
+            }
+
+            /// Submitted samples waiting to be formed into a batch.
+            pub fn queued(&self) -> usize {
+                match self {
+                    $( DynShardedExecutor::$variant(e) => e.queued(), )*
+                }
+            }
+
+            /// Samples of formed batches whose replies are not delivered
+            /// yet.
+            pub fn executing(&self) -> usize {
+                match self {
+                    $( DynShardedExecutor::$variant(e) => e.executing(), )*
+                }
+            }
+
+            /// A snapshot of the batch-forming counters.
+            pub fn batch_stats(&self) -> crate::BatchStats {
+                match self {
+                    $( DynShardedExecutor::$variant(e) => e.batch_stats(), )*
                 }
             }
 
@@ -146,12 +184,6 @@ macro_rules! define_dyn_program {
                 }
             }
 
-            /// A pool recycling this program's sessions across requests; see
-            /// [`DynSessionPool`](crate::DynSessionPool).
-            pub fn session_pool(&self) -> crate::DynSessionPool {
-                crate::DynSessionPool::new(self.clone())
-            }
-
             /// A persistent sharded executor over this program: shard worker
             /// threads are spawned once and reused by every
             /// [`DynShardedExecutor::run_batch`] call; see
@@ -160,6 +192,27 @@ macro_rules! define_dyn_program {
                 match self {
                     $( DynProgram::$variant(p) => DynShardedExecutor::$variant(
                         crate::ShardedExecutor::new(p.clone(), config),
+                    ), )*
+                }
+            }
+
+            /// A persistent sharded executor whose workers batch submitted
+            /// samples within the given window; see
+            /// [`ShardedExecutor::batching`](crate::ShardedExecutor::batching).
+            pub fn batching_executor(
+                &self,
+                config: crate::ShardConfig,
+                max_batch_size: usize,
+                max_queue_delay: std::time::Duration,
+            ) -> DynShardedExecutor {
+                match self {
+                    $( DynProgram::$variant(p) => DynShardedExecutor::$variant(
+                        crate::ShardedExecutor::batching(
+                            p.clone(),
+                            config,
+                            max_batch_size,
+                            max_queue_delay,
+                        ),
                     ), )*
                 }
             }
@@ -173,40 +226,6 @@ macro_rules! define_dyn_program {
             pub fn run_batch(&self, samples: &[FactSet]) -> Result<Vec<RunResult>, LobsterError> {
                 match self {
                     $( DynProgram::$variant(p) => p.run_batch(samples), )*
-                }
-            }
-
-            /// Runs a batch partitioned across `num_shards` devices; see
-            /// [`Program::run_batch_sharded`].
-            ///
-            /// # Errors
-            ///
-            /// Returns a [`LobsterError`] on bad facts or execution failure.
-            pub fn run_batch_sharded(
-                &self,
-                samples: &[FactSet],
-                num_shards: usize,
-            ) -> Result<Vec<RunResult>, LobsterError> {
-                match self {
-                    $( DynProgram::$variant(p) => p.run_batch_sharded(samples, num_shards), )*
-                }
-            }
-
-            /// Runs a sharded batch and reports the partition/shard
-            /// statistics; see [`Program::run_batch_sharded_with_stats`].
-            ///
-            /// # Errors
-            ///
-            /// Returns a [`LobsterError`] on bad facts or execution failure.
-            pub fn run_batch_sharded_with_stats(
-                &self,
-                samples: &[FactSet],
-                num_shards: usize,
-            ) -> Result<(Vec<RunResult>, crate::ShardRunStats), LobsterError> {
-                match self {
-                    $( DynProgram::$variant(p) => {
-                        p.run_batch_sharded_with_stats(samples, num_shards)
-                    } )*
                 }
             }
 

@@ -114,25 +114,14 @@
 //!   [`Program::compiled_size_bytes`] weighs the artifact for eviction.
 //! * `BatchScheduler` — accumulates per-request [`FactSet`]s into
 //!   mini-batches (one fix-point per batch) with `max_batch_size` /
-//!   `max_queue_delay` knobs, routing each result back to its caller.
-//!   Single-device batches run on sessions recycled through a
-//!   [`SessionPool`]; with `num_shards > 1` the scheduler holds **one**
-//!   long-lived [`DynShardedExecutor`] whose shard workers serve every
-//!   batch it ever runs.
+//!   `max_queue_delay` knobs, routing each result back to its caller. It
+//!   holds **one** long-lived [`DynShardedExecutor`] whose shard workers
+//!   form and run every batch it ever serves — `num_shards = 1` is simply
+//!   one shard on the program's own device.
 //!
 //! See `docs/ARCHITECTURE.md` for the full request lifecycle (diagram, knob
 //! reference, shard-vs-batch guidance) and the `serve` example in
 //! `lobster-serve` for the end-to-end flow.
-//!
-//! ## Session pooling
-//!
-//! Per-request state is recyclable: [`Session::reset`] returns a session to
-//! its freshly-opened state (inline facts only, original probabilities)
-//! while keeping its allocations, and [`SessionPool`] /
-//! [`DynSessionPool`] automate the borrow-reset-return cycle
-//! ([`Program::session_pool`], [`DynProgram::session_pool`]). Batched runs
-//! recycle their fork registries the same way, so steady-state serving
-//! allocates no fresh registry per batch.
 //!
 //! ## Multi-device sharding
 //!
@@ -143,12 +132,11 @@
 //! over a shared queue, runs one fix-point per shard slice, and merges the
 //! per-shard results back into the caller's order — with tuples,
 //! probabilities, and gradients identical to the single-device
-//! [`Program::run_batch`]. The batching scheduler exposes the same knob as
-//! `SchedulerConfig::num_shards`, holding one executor for all its batches,
-//! so pooled batches fan out without any change to clients.
-//! [`Program::run_batch_sharded`] remains as a one-off convenience that
-//! builds and tears down a throwaway executor per call — hold an executor
-//! (or let a scheduler hold one) whenever more than one batch will run.
+//! [`Program::run_batch`]. Samples handed over one at a time with
+//! [`ShardedExecutor::submit`] are batched by the workers themselves. The
+//! batching scheduler exposes the shard count as
+//! `SchedulerConfig::num_shards`, so batches fan out without any change to
+//! clients.
 //!
 //! *When to shard.* Sharding pays off when a single batch's fix-point is
 //! the bottleneck and spare devices (or cores — shard devices execute on
@@ -176,31 +164,23 @@
 //! [`ShardConfig::skew_factor`] × the ideal per-shard share — becomes its
 //! own work unit, and idle shards steal pending work units, so one monster
 //! sample delays only itself, not the whole batch.
-//!
-//! The pre-0.2 [`LobsterContext`] API remains available as a deprecated shim
-//! over these types; see [`context`](LobsterContext) for the migration
-//! table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod context;
 mod dynamic;
 mod error;
-mod pool;
 mod program;
 mod scheduler;
 mod session;
 mod sharded;
 
-pub use context::LobsterContext;
 pub use dynamic::{DynProgram, DynSession, DynShardedExecutor};
 pub use error::LobsterError;
-pub use pool::{DynSessionPool, PoolableProgram, PooledSession, SessionPool, SessionPoolStats};
 pub use program::{Lobster, LobsterBuilder, Program};
 pub use scheduler::{plan_offload, OffloadPlan};
 pub use session::{FactSet, RunResult, Session};
-pub use sharded::{ShardConfig, ShardRunStats, ShardedExecutor};
+pub use sharded::{BatchStats, Reply, ShardConfig, ShardRunStats, ShardedExecutor};
 
 // Re-export the pieces users routinely need alongside the program/session.
 pub use lobster_apm::{ExecutionStats, RuntimeOptions};

@@ -437,13 +437,6 @@ impl<P: SessionProvenance> Program<P> {
         Session::new(self.clone(), provenance, registry)
     }
 
-    /// A pool recycling this program's sessions across requests — acquired
-    /// sessions are [`reset`](Session::reset) and returned on drop; see
-    /// [`SessionPool`](crate::SessionPool).
-    pub fn session_pool(&self) -> crate::SessionPool<Program<P>> {
-        crate::SessionPool::new(self.clone())
-    }
-
     /// Runs a whole batch of independent samples in a single fix-point using
     /// the batched evaluation of Section 4.3 (a sample-id column is prepended
     /// to every relation so all samples share one database and one run).
@@ -460,52 +453,6 @@ impl<P: SessionProvenance> Program<P> {
         samples: &[crate::FactSet],
     ) -> Result<Vec<crate::RunResult>, LobsterError> {
         self.session().run_batch(samples)
-    }
-
-    /// Runs a batch partitioned across `num_shards` devices derived from
-    /// this program's device ([`lobster_gpu::Device::split_shards`]), each
-    /// shard paying its own fix-point over its slice of the samples.
-    /// Results are merged back into the caller's order and are identical to
-    /// [`Program::run_batch`] — same tuples, probabilities, and (globally
-    /// remapped) gradients.
-    ///
-    /// This is a one-off convenience: it builds a throwaway
-    /// [`ShardedExecutor`](crate::ShardedExecutor) — persistent worker pool
-    /// included — and tears it down before returning, so every call pays
-    /// shard-thread spawn and join. When more than one batch will run, hold
-    /// an executor (its workers then serve every batch) or tune skew/spill
-    /// knobs through [`ShardConfig`](crate::ShardConfig) on it directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`LobsterError`] on bad facts or execution failure.
-    pub fn run_batch_sharded(
-        &self,
-        samples: &[crate::FactSet],
-        num_shards: usize,
-    ) -> Result<Vec<crate::RunResult>, LobsterError> {
-        self.run_batch_sharded_with_stats(samples, num_shards)
-            .map(|(results, _)| results)
-    }
-
-    /// Like [`Program::run_batch_sharded`], additionally reporting how the
-    /// batch was partitioned and what each shard did
-    /// ([`ShardRunStats`](crate::ShardRunStats) — chunk counts, steals,
-    /// spills, per-shard device deltas).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`LobsterError`] on bad facts or execution failure.
-    pub fn run_batch_sharded_with_stats(
-        &self,
-        samples: &[crate::FactSet],
-        num_shards: usize,
-    ) -> Result<(Vec<crate::RunResult>, crate::ShardRunStats), LobsterError> {
-        crate::ShardedExecutor::new(
-            self.clone(),
-            crate::ShardConfig::default().with_num_shards(num_shards),
-        )
-        .run_batch_with_stats(samples)
     }
 }
 

@@ -379,14 +379,13 @@ impl<P: Provenance> Session<P> {
     /// [`Program::session`]'s output: facts added with [`Session::add_fact`]
     /// are dropped, probabilities changed with
     /// [`Session::set_fact_probability`] are restored, and ids issued to a
-    /// previous request are re-issued from the same starting point. Used by
-    /// [`SessionPool`](crate::SessionPool) on release; callers running a
-    /// session per request in a hand-rolled loop can call it directly.
+    /// previous request are re-issued from the same starting point, so a
+    /// loop serving one request after another can recycle one session.
     ///
     /// Incremental state is part of that reset: any fix point materialized
     /// by [`Session::run_incremental`] (and any pending insertions or
-    /// retractions) is dropped, so a recycled pooled session can never leak
-    /// a previous request's deltas.
+    /// retractions) is dropped, so a recycled session can never leak a
+    /// previous request's deltas.
     pub fn reset(&mut self) {
         self.incremental = None;
         let inline = self.program.artifact.compiled.facts.len();
@@ -549,7 +548,9 @@ impl<P: Provenance> Session<P> {
     ///
     /// # Errors
     ///
-    /// Returns a [`LobsterError::Execution`] on device OOM or timeout.
+    /// Returns a [`LobsterError::Execution`] on device OOM or timeout. A
+    /// failed call drops the materialized fix point, so the next call
+    /// starts from scratch and agrees with [`Session::run`].
     pub fn run_incremental(&mut self) -> Result<RunResult, LobsterError> {
         let Some(state) = self.incremental.as_ref() else {
             return self.materialize();
@@ -591,7 +592,17 @@ impl<P: Provenance> Session<P> {
             });
         }
 
-        let refresh_stats = self.refresh(&inserted, &rebuild)?;
+        // A failed refresh may leave some strata recomputed and others
+        // half-way through their fix point, with the watermark unmoved; a
+        // retry against that state could skip the broken strata and return a
+        // wrong `Ok`. Drop it, so the next call re-materializes from scratch.
+        let refresh_stats = match self.refresh(&inserted, &rebuild) {
+            Ok(stats) => stats,
+            Err(e) => {
+                self.incremental = None;
+                return Err(e);
+            }
+        };
         let probs: Vec<f64> = self.facts.iter().map(|f| self.fact_prob(f)).collect();
         let watermark = self.facts.len();
         let state = self.incremental.as_mut().expect("state checked above");
@@ -1036,5 +1047,39 @@ mod tests {
         let result = session.run().unwrap();
         assert_eq!(result.len("path"), 3);
         assert!((result.probability("path", &[Value::U32(0), Value::U32(2)]) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn scheduling_toggle_changes_transfer_counts() {
+        let source = "type edge(x: u32, y: u32)
+            type is_endpoint(x: u32)
+            rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+            rel connected() = is_endpoint(x), is_endpoint(y), path(x, y), x != y
+            query connected";
+        let run_with = |scheduling: bool| {
+            let program = Lobster::builder(source)
+                .stratum_scheduling(scheduling)
+                .device(lobster_gpu::Device::sequential())
+                .compile_typed::<Unit>()
+                .unwrap();
+            let mut session = program.session();
+            for (a, b) in [(0u32, 1u32), (1, 2), (2, 3)] {
+                session
+                    .add_fact("edge", &[Value::U32(a), Value::U32(b)], None)
+                    .unwrap();
+            }
+            session
+                .add_fact("is_endpoint", &[Value::U32(0)], None)
+                .unwrap();
+            session
+                .add_fact("is_endpoint", &[Value::U32(3)], None)
+                .unwrap();
+            let connected = session.run().unwrap().len("connected");
+            (connected, program.device().stats().transfers)
+        };
+        let (with_sched, transfers_with) = run_with(true);
+        let (without_sched, transfers_without) = run_with(false);
+        assert_eq!(with_sched, without_sched);
+        assert!(transfers_without > transfers_with);
     }
 }

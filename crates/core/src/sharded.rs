@@ -16,6 +16,14 @@
 //!   rates. Several threads may call [`ShardedExecutor::run_batch`]
 //!   concurrently; their chunks interleave in the shared queue and each
 //!   caller gets exactly its own results.
+//! * **Workers also form batches.** Samples queued one at a time with
+//!   [`ShardedExecutor::submit`] wait in the executor's request queue. A
+//!   worker with no chunk to run takes the batch-forming role: it flushes
+//!   the queue into one batch once the batch is full, the oldest sample has
+//!   waited the executor's queue delay, or shutdown begins, and plans that
+//!   batch straight into the work queue. The worker that retires a batch's
+//!   last chunk delivers every sample's reply, so a request crosses no
+//!   thread besides the shard worker that runs it.
 //! * **Partitioning** is cost-aware: samples are greedily bin-packed over the
 //!   shards by descending fact count (longest-processing-time order), so a
 //!   mix of large and small samples still balances. A pathologically large
@@ -27,15 +35,15 @@
 //!   idle, so a shard that finishes early steals the work a skewed plan
 //!   would have left stranded.
 //! * **Memory budgets** are per shard: shard devices are derived with
-//!   [`Device::split_shards`], dividing the parent budget `n` ways. Each
-//!   shard device also owns its own persistent *kernel* worker pool (sized
-//!   by the split parallelism and joined when the shard device drops with
-//!   the executor), so shard-level parallelism here multiplies with
-//!   kernel-level parallelism inside each shard — see `docs/PERFORMANCE.md`
-//!   for how to budget the two against the machine's cores. A chunk
-//!   that overflows its shard's budget is *spilled* — split in half and
-//!   requeued — so a batch that fits the aggregate budget still completes,
-//!   it just pays extra fix-points.
+//!   [`Device::split_shards`], dividing the parent budget `n` ways (one shard
+//!   is the parent device itself). Each shard device also owns its own
+//!   persistent *kernel* worker pool (sized by the split parallelism and
+//!   joined when the shard device drops with the executor), so shard-level
+//!   parallelism here multiplies with kernel-level parallelism inside each
+//!   shard — see `docs/PERFORMANCE.md` for how to budget the two against
+//!   the machine's cores. A chunk that overflows its shard's budget is
+//!   *spilled* — split in half and requeued — so a batch that fits the
+//!   aggregate budget still completes, it just pays extra fix-points.
 //! * **Results agree bit-for-bit with the unsharded path.** Samples never
 //!   interact (the sample-id column keys every join), tables are kept in
 //!   sorted order, and gradient ids are remapped from shard-local to global
@@ -72,9 +80,10 @@
 //! drop(executor);
 //! ```
 //!
-//! On a hot path that owns its batch (a serving scheduler moving request
-//! payloads), [`ShardedExecutor::run_batch_owned`] hands the samples to the
-//! workers without copying a single fact.
+//! On a hot path that owns its batch, [`ShardedExecutor::run_batch_owned`]
+//! hands the samples to the workers without copying a single fact; a server
+//! that receives samples one request at a time hands each to
+//! [`ShardedExecutor::submit`] and lets the workers batch them.
 //!
 //! [`ExecutionStats`]: lobster_apm::ExecutionStats
 
@@ -84,10 +93,10 @@ use crate::session::{FactSet, RunResult, Session};
 use lobster_apm::ExecError;
 use lobster_gpu::{Device, DeviceError, DeviceStats};
 use lobster_provenance::{InputFactId, SessionProvenance};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Knobs of the sharded executor.
 #[derive(Debug, Clone)]
@@ -175,6 +184,30 @@ impl ShardRunStats {
     }
 }
 
+/// Counters describing the batches the workers formed out of
+/// [`ShardedExecutor::submit`]ted samples (runs started with
+/// [`ShardedExecutor::run_batch`] are not counted).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BatchStats {
+    /// Batches formed and run.
+    pub batches: u64,
+    /// Chunks those batches executed — one fix-point each, spills included.
+    pub sharded_chunks: u64,
+    /// Samples served across all batches.
+    pub samples: u64,
+    /// Batches flushed because they reached the maximum batch size.
+    pub full_flushes: u64,
+    /// Batches flushed by the queue-delay timer (or the shutdown drain).
+    pub timer_flushes: u64,
+    /// Largest batch formed so far.
+    pub largest_batch: usize,
+}
+
+/// Receives the result of one sample queued with
+/// [`ShardedExecutor::submit`]. It runs on the shard worker that retires the
+/// sample's batch, so it must be quick and must not panic.
+pub type Reply = Box<dyn FnOnce(Result<RunResult, LobsterError>) + Send>;
+
 /// One schedulable unit of work: a set of samples (global indices, ascending)
 /// that one shard runs as a single `run_batch` fix-point.
 #[derive(Debug, Clone)]
@@ -244,19 +277,32 @@ fn plan_chunks(costs: &[u64], num_shards: usize, skew_factor: f64) -> Vec<Chunk>
     chunks
 }
 
+/// A run's results in caller order plus what the shards did (device deltas
+/// are filled in by the caller that snapshotted them).
+type RunOutcome = Result<(Vec<RunResult>, ShardRunStats), LobsterError>;
+
+/// Where a finished run's outcome goes.
+enum Done {
+    /// A [`ShardedExecutor::run_batch_owned`] caller blocked on the channel.
+    Caller(mpsc::Sender<RunOutcome>),
+    /// A batch formed from the request queue: one reply per sample.
+    Replies(Vec<Reply>),
+}
+
 /// The mutable half of one run's shared state, guarded by
 /// [`RunShared::progress`].
-#[derive(Debug)]
 struct RunProgress {
-    /// Chunks of this run that are queued or executing. The submitting
-    /// thread sleeps until this reaches zero; spills raise it, completions
-    /// (and failure drains) lower it.
+    /// Chunks of this run that are queued or executing. Spills raise it,
+    /// completions (and failure drains) lower it; the chunk that brings it
+    /// to zero delivers the outcome.
     remaining: usize,
     /// Merged results in caller order, filled in as chunks complete.
     results: Vec<Option<RunResult>>,
     /// First unrecoverable error. Once set, the run's still-pending chunks
     /// are drained without executing.
     error: Option<LobsterError>,
+    /// Chunks the plan produced.
+    planned: usize,
     /// Chunks executed by a shard other than the planned one.
     steals: usize,
     /// Out-of-memory chunk splits.
@@ -265,35 +311,26 @@ struct RunProgress {
     executed: usize,
     /// Samples executed by each shard.
     per_shard_samples: Vec<usize>,
+    /// Taken by the chunk that finishes the run.
+    done: Option<Done>,
 }
 
 /// One batch in flight: the owned samples, the gradient-remap layout, and
-/// the progress the workers update. Shared between the submitting thread and
-/// every worker holding one of the run's chunks.
-#[derive(Debug)]
+/// the progress the workers update. Shared by every worker holding one of
+/// the run's chunks.
 struct RunShared {
     /// The batch, owned for the duration of the run — workers are long-lived
     /// threads and cannot borrow from the submitting stack frame.
     samples: Vec<FactSet>,
-    /// Each sample's offset into the global (unsharded) fact registration
-    /// order.
+    /// Each sample's offset into the registration order its gradient ids
+    /// are reported in: the unsharded batch's for `run_batch`, and zero for
+    /// every sample of a formed batch (each reply reads as if its sample had
+    /// run alone).
     global_offsets: Vec<u32>,
-    /// Fact ids `0..inline_facts` are the program's inline facts, identical
-    /// in every shard and in the global order.
-    inline_facts: u32,
-    /// Spill ceiling, copied from [`ShardConfig::max_spill_depth`].
-    max_spill_depth: u32,
     /// Submission sequence number — a deterministic tie-breaker when chunks
     /// of several concurrent runs have equal cost.
     seq: u64,
-    /// Static per-relation planning weights from the program's cost model —
-    /// the spill path re-costs chunk halves on the same scale the planner
-    /// used (`execute_item` has no program in scope, so the snapshot rides
-    /// with the run).
-    weights: Arc<BTreeMap<String, u64>>,
     progress: Mutex<RunProgress>,
-    /// Signalled when `remaining` reaches zero.
-    done: Condvar,
 }
 
 /// Locks a mutex, recovering from poison. The persistent runtime must keep
@@ -301,7 +338,7 @@ struct RunShared {
 /// [`ChunkPanicGuard`]), and every critical section here leaves its state
 /// usable even when a caller-supplied closure panicked mid-update: a failed
 /// run's partial results are discarded wholesale, and the queue mutations
-/// themselves (`extend`, `swap_remove`) cannot unwind half-done.
+/// themselves (`extend`, `swap_remove`, `drain`) cannot unwind half-done.
 fn lock_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
@@ -309,21 +346,46 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl RunShared {
-    /// Retires one chunk of this run, waking the submitter when it was the
-    /// last. `update` is applied to the progress under the same lock.
+    /// Retires one chunk of this run; the last one delivers the run's
+    /// outcome. `update` is applied to the progress under the same lock.
     ///
     /// Poison-tolerant: if a previous holder panicked before its decrement
     /// (the only panic window — `update` runs first), the count still
     /// reflects that un-retired chunk, and its [`ChunkPanicGuard`] performs
     /// the missing retirement through this same path.
-    fn retire_chunk(&self, update: impl FnOnce(&mut RunProgress)) {
+    fn retire_chunk(&self, pool: &PoolShared, update: impl FnOnce(&mut RunProgress)) {
         let mut progress = lock_recover(&self.progress);
         update(&mut progress);
         progress.remaining -= 1;
-        let finished = progress.remaining == 0;
+        if progress.remaining > 0 {
+            return;
+        }
+        let outcome = match progress.error.take() {
+            Some(e) => Err(e),
+            None => Ok((
+                progress
+                    .results
+                    .drain(..)
+                    .map(|r| r.expect("every sample ran"))
+                    .collect(),
+                ShardRunStats {
+                    planned_chunks: progress.planned,
+                    executed_chunks: progress.executed,
+                    steals: progress.steals,
+                    spills: progress.spills,
+                    per_shard_samples: std::mem::take(&mut progress.per_shard_samples),
+                    device_stats: Vec::new(),
+                },
+            )),
+        };
+        let done = progress.done.take().expect("a run finishes once");
         drop(progress);
-        if finished {
-            self.done.notify_all();
+        match done {
+            Done::Caller(tx) => {
+                // A caller that stopped waiting just discards the outcome.
+                let _ = tx.send(outcome);
+            }
+            Done::Replies(replies) => pool.deliver(replies, outcome),
         }
     }
 
@@ -333,32 +395,77 @@ impl RunShared {
 }
 
 /// One entry of the worker pool's queue: a chunk plus the run it belongs to.
-#[derive(Debug)]
 struct WorkItem {
     run: Arc<RunShared>,
     chunk: Chunk,
 }
 
-/// State shared between the executor handle and its persistent workers.
-#[derive(Debug)]
-struct PoolShared {
+/// A sample queued by [`ShardedExecutor::submit`], waiting to be batched.
+struct Request {
+    facts: FactSet,
+    /// Planning cost, computed at submission so forming a batch under the
+    /// queue lock stays cheap.
+    cost: u64,
+    reply: Reply,
+    /// The flush timer of a batch runs from its *oldest* request, so
+    /// queueing latency is bounded by the queue delay even when every
+    /// worker was busy while the request waited.
+    enqueued: Instant,
+}
+
+/// Everything the workers share, guarded by [`PoolShared::state`].
+#[derive(Default)]
+struct PoolState {
     /// Pending chunks across all in-flight runs.
-    queue: Mutex<Vec<WorkItem>>,
-    /// Signalled when work arrives or shutdown begins.
+    chunks: Vec<WorkItem>,
+    /// Submitted samples not yet formed into a batch.
+    requests: VecDeque<Request>,
+    /// Samples of formed batches whose replies are not delivered yet.
+    executing: usize,
+    /// Issues [`RunShared::seq`] numbers.
+    next_seq: u64,
+    /// Set by [`ShardedExecutor::drop`]; workers flush the request queue at
+    /// once and exit when both queues are empty.
+    shutdown: bool,
+    stats: BatchStats,
+}
+
+/// State shared between the executor handle and its persistent workers.
+struct PoolShared {
+    state: Mutex<PoolState>,
+    /// Signalled when chunks or requests arrive, or shutdown begins.
     work: Condvar,
-    /// Set (under the queue lock) by [`ShardedExecutor::drop`]; workers exit
-    /// once the queue is empty.
-    shutdown: AtomicBool,
+    /// The configuration in effect, `num_shards` matching the shard devices.
+    config: ShardConfig,
+    /// Fact ids `0..inline_facts` are the program's inline facts, identical
+    /// in every shard and in the global order.
+    inline_facts: u32,
+    /// Static per-relation planning weights from the program's cost model,
+    /// shared by the planner, the request queue and the spill path.
+    weights: BTreeMap<String, u64>,
+    /// A formed batch holds at most this many samples.
+    max_batch_size: usize,
+    /// How long the oldest queued sample may wait for its batch to fill.
+    max_queue_delay: Duration,
 }
 
 impl PoolShared {
     /// Takes the most expensive pending chunk (ties: oldest run, then lowest
-    /// leading sample index, so the drain order is deterministic), blocking
-    /// while the queue is empty. Returns `None` on shutdown.
-    fn take_item(&self) -> Option<WorkItem> {
-        let mut queue = lock_recover(&self.queue);
+    /// leading sample index, so the drain order is deterministic). With no
+    /// chunk pending the worker forms the next batch from the request queue,
+    /// and sleeps while there is nothing to do. Returns `None` on shutdown
+    /// once both queues are empty.
+    ///
+    /// The lock is released while waiting, so a sibling may form the batch
+    /// first: the flush deadline is re-derived from the *current* oldest
+    /// request on every pass, so a fresh request is never flushed against a
+    /// drained request's expired deadline, and an emptied queue flushes no
+    /// phantom batch.
+    fn next_item(&self) -> Option<WorkItem> {
+        let mut state = lock_recover(&self.state);
         loop {
-            let best = queue
+            let best = state
+                .chunks
                 .iter()
                 .enumerate()
                 .max_by_key(|(_, item)| {
@@ -370,42 +477,150 @@ impl PoolShared {
                 })
                 .map(|(i, _)| i);
             if let Some(best) = best {
-                return Some(queue.swap_remove(best));
+                return Some(state.chunks.swap_remove(best));
             }
-            if self.shutdown.load(Ordering::SeqCst) {
-                return None;
+            let Some(oldest) = state.requests.front() else {
+                if state.shutdown {
+                    return None;
+                }
+                state = self
+                    .work
+                    .wait(state)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                continue;
+            };
+            // A delay too long to represent never expires.
+            let deadline = oldest.enqueued.checked_add(self.max_queue_delay);
+            let now = Instant::now();
+            let expired = deadline.is_some_and(|deadline| now >= deadline);
+            if state.requests.len() >= self.max_batch_size || state.shutdown || expired {
+                self.form_batch(&mut state);
+                continue;
             }
-            queue = self
-                .work
-                .wait(queue)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            // Whether this wake is a timeout or a notify, the next pass
+            // re-checks everything against the current queue.
+            state = match deadline {
+                Some(deadline) => {
+                    self.work
+                        .wait_timeout(state, deadline - now)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0
+                }
+                None => self
+                    .work
+                    .wait(state)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            };
         }
     }
 
-    /// Enqueues items and wakes idle workers. Waking all of them is
-    /// deliberate: a fresh run usually carries one chunk per shard.
-    fn submit(&self, items: impl IntoIterator<Item = WorkItem>) {
-        let mut queue = lock_recover(&self.queue);
-        queue.extend(items);
-        drop(queue);
+    /// Moves up to `max_batch_size` queued requests into one batch and plans
+    /// it into the chunk queue.
+    fn form_batch(&self, state: &mut PoolState) {
+        let n = state.requests.len().min(self.max_batch_size);
+        let stats = &mut state.stats;
+        stats.batches += 1;
+        stats.samples += n as u64;
+        stats.largest_batch = stats.largest_batch.max(n);
+        if n == self.max_batch_size {
+            stats.full_flushes += 1;
+        } else {
+            stats.timer_flushes += 1;
+        }
+        // Queued → executing under the one lock, so `pending` never sees a
+        // request in neither state.
+        state.executing += n;
+        let (mut samples, mut costs, mut replies) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        for request in state.requests.drain(..n) {
+            samples.push(request.facts);
+            costs.push(request.cost);
+            replies.push(request.reply);
+        }
+        self.launch(state, samples, &costs, vec![0; n], Done::Replies(replies));
+        // A batch usually carries one chunk per shard; this worker takes one
+        // as soon as it releases the lock.
         self.work.notify_all();
+    }
+
+    /// Plans `samples` into chunks and queues them; the caller wakes the
+    /// workers.
+    fn launch(
+        &self,
+        state: &mut PoolState,
+        samples: Vec<FactSet>,
+        costs: &[u64],
+        global_offsets: Vec<u32>,
+        done: Done,
+    ) {
+        let chunks = plan_chunks(costs, self.config.num_shards, self.config.skew_factor);
+        let run = Arc::new(RunShared {
+            global_offsets,
+            seq: state.next_seq,
+            progress: Mutex::new(RunProgress {
+                remaining: chunks.len(),
+                results: vec![None; samples.len()],
+                error: None,
+                planned: chunks.len(),
+                steals: 0,
+                spills: 0,
+                executed: 0,
+                per_shard_samples: vec![0; self.config.num_shards],
+                done: Some(done),
+            }),
+            samples,
+        });
+        state.next_seq += 1;
+        state
+            .chunks
+            .extend(chunks.into_iter().map(|chunk| WorkItem {
+                run: Arc::clone(&run),
+                chunk,
+            }));
+    }
+
+    /// Hands a formed batch's outcome to its requests' replies.
+    fn deliver(&self, replies: Vec<Reply>, outcome: RunOutcome) {
+        {
+            let mut state = lock_recover(&self.state);
+            state.executing -= replies.len();
+            if let Ok((_, stats)) = &outcome {
+                state.stats.sharded_chunks += stats.executed_chunks as u64;
+            }
+        }
+        match outcome {
+            Ok((results, _)) => {
+                for (reply, result) in replies.into_iter().zip(results) {
+                    reply(Ok(result));
+                }
+            }
+            Err(e) => {
+                for reply in replies {
+                    reply(Err(e.clone()));
+                }
+            }
+        }
     }
 }
 
 /// While armed, marks the chunk's run as failed if the worker unwinds
 /// mid-execution — so a panicking worker turns into a run error for the
 /// submitter instead of a hang.
-struct ChunkPanicGuard {
+struct ChunkPanicGuard<'a> {
     run: Arc<RunShared>,
+    pool: &'a PoolShared,
     armed: bool,
 }
 
-impl Drop for ChunkPanicGuard {
+impl Drop for ChunkPanicGuard<'_> {
     fn drop(&mut self) {
         if !self.armed {
             return;
         }
-        self.run.retire_chunk(|progress| {
+        self.run.retire_chunk(self.pool, |progress| {
             progress.error.get_or_insert(LobsterError::Internal {
                 message: "shard worker panicked while executing a chunk".to_string(),
             });
@@ -423,41 +638,28 @@ impl Drop for ChunkPanicGuard {
 /// spawn/join nor session setup. [`ShardedExecutor::run_batch`] plans
 /// (cost-aware bin-packing with skew carve-outs), executes (work-stealing
 /// shared queue, out-of-memory spills), and merges (caller order, global
-/// gradient ids) — see the "Multi-device sharding" section of the crate docs
-/// and the module docs above for a worked example. Dropping the executor
-/// joins the workers.
-///
-/// The convenience wrappers [`Program::run_batch_sharded`] and
-/// `DynProgram::run_batch_sharded` build a throwaway executor per call —
-/// pool spawn and teardown included — so hold an executor (or a
-/// `BatchScheduler` with `num_shards > 1`, which holds one for you) whenever
-/// more than one batch will run.
+/// gradient ids); [`ShardedExecutor::submit`] queues single samples that the
+/// workers batch themselves — see the module docs above for a worked
+/// example. Dropping the executor runs every queued sample, then joins the
+/// workers.
 pub struct ShardedExecutor<P: SessionProvenance> {
-    /// The parent program (unsharded device) — used for validation and
-    /// planning; workers hold their own shard-bound clones.
+    /// The parent program (unsharded device) — used for validation; workers
+    /// hold their own shard-bound clones.
     program: Program<P>,
     /// The shard devices, in worker order — retained for per-run stat deltas
     /// and [`ShardedExecutor::shard_devices`].
     shard_devices: Vec<Device>,
     pool: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
-    config: ShardConfig,
-    /// Fact ids `0..inline_facts` are the program's inline facts, identical
-    /// in every shard and in the global order.
-    inline_facts: u32,
-    /// Issues [`RunShared::seq`] numbers.
-    run_seq: AtomicU64,
-    /// Per-relation planning weights snapshotted from the program's static
-    /// cost model at construction; shared with every run (see
-    /// [`RunShared::weights`]).
-    relation_weights: Arc<BTreeMap<String, u64>>,
 }
 
 impl<P: SessionProvenance> std::fmt::Debug for ShardedExecutor<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedExecutor")
             .field("num_shards", &self.shard_devices.len())
-            .field("config", &self.config)
+            .field("config", &self.pool.config)
+            .field("max_batch_size", &self.pool.max_batch_size)
+            .field("max_queue_delay", &self.pool.max_queue_delay)
             .finish()
     }
 }
@@ -465,28 +667,54 @@ impl<P: SessionProvenance> std::fmt::Debug for ShardedExecutor<P> {
 impl<P: SessionProvenance> ShardedExecutor<P> {
     /// Creates an executor over `config.num_shards` devices derived from the
     /// program's device, spawning one persistent worker thread per shard.
+    /// Samples passed to [`ShardedExecutor::submit`] are batched with
+    /// whatever else is queued when a worker comes free, without waiting.
     pub fn new(program: Program<P>, config: ShardConfig) -> Self {
+        Self::batching(program, config, usize::MAX, Duration::ZERO)
+    }
+
+    /// Like [`ShardedExecutor::new`], with the batch-forming window for
+    /// [`ShardedExecutor::submit`]: a batch is flushed once it holds
+    /// `max_batch_size` samples, or once its oldest sample has waited
+    /// `max_queue_delay`.
+    pub fn batching(
+        program: Program<P>,
+        config: ShardConfig,
+        max_batch_size: usize,
+        max_queue_delay: Duration,
+    ) -> Self {
         let devices = program.device().split_shards(config.num_shards.max(1));
-        Self::with_devices(program, devices, config)
+        Self::spawn(program, devices, config, max_batch_size, max_queue_delay)
     }
 
     /// Creates an executor over explicit shard devices (overriding
     /// [`Device::split_shards`]-derived budgets — e.g. heterogeneous
     /// devices). `config.num_shards` is ignored in favour of `devices.len()`.
     pub fn with_devices(program: Program<P>, devices: Vec<Device>, config: ShardConfig) -> Self {
+        Self::spawn(program, devices, config, usize::MAX, Duration::ZERO)
+    }
+
+    fn spawn(
+        program: Program<P>,
+        devices: Vec<Device>,
+        config: ShardConfig,
+        max_batch_size: usize,
+        max_queue_delay: Duration,
+    ) -> Self {
         assert!(!devices.is_empty(), "at least one shard device");
-        // A fresh session pre-registers exactly the program's inline facts,
-        // so their count comes straight off the compiled artifact — no need
-        // to build (and throw away) a session with its registry here.
-        let inline_facts = program.artifact.compiled.facts.len() as u32;
-        let config = ShardConfig {
-            num_shards: devices.len(),
-            ..config
-        };
         let pool = Arc::new(PoolShared {
-            queue: Mutex::new(Vec::new()),
+            state: Mutex::new(PoolState::default()),
             work: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            config: ShardConfig {
+                num_shards: devices.len(),
+                ..config
+            },
+            // A fresh session pre-registers exactly the program's inline
+            // facts, so their count comes straight off the compiled artifact.
+            inline_facts: program.artifact.compiled.facts.len() as u32,
+            weights: program.cost_model().relation_weights().clone(),
+            max_batch_size: max_batch_size.max(1),
+            max_queue_delay,
         });
         let workers = devices
             .iter()
@@ -500,16 +728,11 @@ impl<P: SessionProvenance> ShardedExecutor<P> {
                     .expect("spawn shard worker")
             })
             .collect();
-        let relation_weights = Arc::new(program.cost_model().relation_weights().clone());
         ShardedExecutor {
             program,
             shard_devices: devices,
             pool,
             workers,
-            config,
-            inline_facts,
-            run_seq: AtomicU64::new(0),
-            relation_weights,
         }
     }
 
@@ -520,7 +743,7 @@ impl<P: SessionProvenance> ShardedExecutor<P> {
 
     /// The configuration in effect.
     pub fn config(&self) -> &ShardConfig {
-        &self.config
+        &self.pool.config
     }
 
     /// The shard devices, indexed by shard.
@@ -562,8 +785,8 @@ impl<P: SessionProvenance> ShardedExecutor<P> {
 
     /// Runs an owned batch across the shards — the zero-copy variant of
     /// [`ShardedExecutor::run_batch`] for callers that already own their
-    /// samples (a serving scheduler moving request payloads): the fact sets
-    /// are handed to the workers as-is, nothing is cloned.
+    /// samples: the fact sets are handed to the workers as-is, nothing is
+    /// cloned.
     ///
     /// # Errors
     ///
@@ -572,26 +795,26 @@ impl<P: SessionProvenance> ShardedExecutor<P> {
         &self,
         samples: Vec<FactSet>,
     ) -> Result<(Vec<RunResult>, ShardRunStats), LobsterError> {
-        let num_shards = self.shard_devices.len();
         // Snapshot every shard's counters up front so the reported device
         // stats are this run's *deltas*, not the executor's lifetime
         // accumulation (the executor is meant to be reused across batches).
         let before: Vec<DeviceStats> = self.shard_devices.iter().map(Device::stats).collect();
-        let device_deltas = |devices: &[Device]| {
-            devices
+        let device_deltas = || {
+            self.shard_devices
                 .iter()
                 .zip(&before)
                 .map(|(d, b)| d.stats().delta_since(b))
                 .collect::<Vec<_>>()
         };
-        let mut stats = ShardRunStats {
-            per_shard_samples: vec![0; num_shards],
-            device_stats: Vec::new(),
-            ..ShardRunStats::default()
-        };
         if samples.is_empty() {
-            stats.device_stats = device_deltas(&self.shard_devices);
-            return Ok((Vec::new(), stats));
+            return Ok((
+                Vec::new(),
+                ShardRunStats {
+                    per_shard_samples: vec![0; self.num_shards()],
+                    device_stats: device_deltas(),
+                    ..ShardRunStats::default()
+                },
+            ));
         }
         // Validate every sample up front — the same rule set as `run_batch`
         // — so no shard starts a fix-point for a batch that is going to be
@@ -609,78 +832,89 @@ impl<P: SessionProvenance> ShardedExecutor<P> {
             global_offsets.push(offset);
             offset += sample.len() as u32;
         }
-
         let costs: Vec<u64> = samples
             .iter()
-            .map(|s| sample_cost(s, &self.relation_weights))
+            .map(|s| sample_cost(s, &self.pool.weights))
             .collect();
-        let chunks = plan_chunks(&costs, num_shards, self.config.skew_factor);
-        stats.planned_chunks = chunks.len();
 
-        let run = Arc::new(RunShared {
-            global_offsets,
-            inline_facts: self.inline_facts,
-            max_spill_depth: self.config.max_spill_depth,
-            seq: self.run_seq.fetch_add(1, Ordering::Relaxed),
-            weights: Arc::clone(&self.relation_weights),
-            progress: Mutex::new(RunProgress {
-                remaining: chunks.len(),
-                results: vec![None; samples.len()],
-                error: None,
-                steals: 0,
-                spills: 0,
-                executed: 0,
-                per_shard_samples: vec![0; num_shards],
-            }),
-            done: Condvar::new(),
+        let (tx, rx) = mpsc::channel();
+        self.pool.launch(
+            &mut lock_recover(&self.pool.state),
             samples,
-        });
-        self.pool.submit(chunks.into_iter().map(|chunk| WorkItem {
-            run: Arc::clone(&run),
-            chunk,
-        }));
-
+            &costs,
+            global_offsets,
+            Done::Caller(tx),
+        );
+        // Woken only once the queue lock is released, so no worker wakes
+        // straight into a held lock.
+        self.pool.work.notify_all();
         // Sleep until the workers have retired every chunk (completed,
-        // spilled into retired halves, or drained after a failure).
-        // Poison-tolerant like the workers: a panicked chunk surfaces as the
-        // run's `error`, not as a poisoned-lock panic here.
-        let mut progress = lock_recover(&run.progress);
-        while progress.remaining > 0 {
-            progress = run
-                .done
-                .wait(progress)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        if let Some(e) = progress.error.take() {
-            return Err(e);
-        }
-        let results = progress
-            .results
-            .drain(..)
-            .map(|r| r.expect("every sample ran"))
-            .collect();
-        stats.steals = progress.steals;
-        stats.spills = progress.spills;
-        stats.executed_chunks = progress.executed;
-        stats.per_shard_samples = std::mem::take(&mut progress.per_shard_samples);
-        drop(progress);
-        stats.device_stats = device_deltas(&self.shard_devices);
+        // spilled into retired halves, or drained after a failure). A
+        // panicked chunk surfaces as the run's error, not as a hang.
+        let (results, mut stats) = rx.recv().map_err(|_| LobsterError::Internal {
+            message: "sharded run dropped without finishing".to_string(),
+        })??;
+        stats.device_stats = device_deltas();
         Ok((results, stats))
+    }
+
+    /// Queues one sample for the workers to batch with other submitted
+    /// samples (see the module docs) and returns at once. `reply` receives
+    /// exactly what `run_batch(&[facts])` would return for it — the batch it
+    /// lands in is invisible, gradient ids included.
+    ///
+    /// Malformed facts (unknown relation, wrong arity) are rejected here:
+    /// `reply` receives the [`LobsterError::BadFact`] before this returns,
+    /// and no batch ever sees the sample.
+    pub fn submit(&self, facts: FactSet, reply: Reply) {
+        if let Err(e) = self.program.validate_facts(&facts) {
+            reply(Err(e));
+            return;
+        }
+        let cost = sample_cost(&facts, &self.pool.weights);
+        let queued = {
+            let mut state = lock_recover(&self.pool.state);
+            state.requests.push_back(Request {
+                facts,
+                cost,
+                reply,
+                enqueued: Instant::now(),
+            });
+            state.requests.len()
+        };
+        // Wake a worker only on the transitions it acts on: the first
+        // request of a batch (a sleeper must start the flush timer) and a
+        // full batch (a timed sleeper can flush early). Requests in between
+        // are picked up at flush time regardless.
+        if queued == 1 || queued >= self.pool.max_batch_size {
+            self.pool.work.notify_one();
+        }
+    }
+
+    /// Submitted samples waiting to be formed into a batch.
+    pub fn queued(&self) -> usize {
+        lock_recover(&self.pool.state).requests.len()
+    }
+
+    /// Samples of formed batches whose replies are not delivered yet.
+    pub fn executing(&self) -> usize {
+        lock_recover(&self.pool.state).executing
+    }
+
+    /// A snapshot of the batch-forming counters.
+    pub fn batch_stats(&self) -> BatchStats {
+        lock_recover(&self.pool.state).stats.clone()
     }
 }
 
 impl<P: SessionProvenance> Drop for ShardedExecutor<P> {
     fn drop(&mut self) {
-        // `&mut self` proves no `run_batch` borrow is alive, so the queue is
-        // empty: every chunk a run submitted was retired before that run
-        // returned. Setting the flag under the queue lock serializes with
-        // `take_item`'s check-then-wait — a worker that read
+        // Setting the flag under the queue lock serializes with
+        // `next_item`'s check-then-wait — a worker that read
         // `shutdown == false` is guaranteed to be inside `wait` (lock
-        // released) before the notification fires.
-        {
-            let _queue = lock_recover(&self.pool.queue);
-            self.pool.shutdown.store(true, Ordering::SeqCst);
-        }
+        // released) before the notification fires. The workers then flush
+        // every queued request and exit once both queues are empty.
+        lock_recover(&self.pool.state).shutdown = true;
         self.pool.work.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -688,9 +922,9 @@ impl<P: SessionProvenance> Drop for ShardedExecutor<P> {
     }
 }
 
-/// One persistent shard worker: drain the shared queue until shutdown. The
-/// session — registry, inline facts, batch-fork scratch — is built once and
-/// reused by every chunk this worker executes.
+/// One persistent shard worker: run chunks, and form batches when there is
+/// none, until shutdown. The session — registry, inline facts, batch-fork
+/// scratch — is built once and reused by every chunk this worker executes.
 ///
 /// The worker must outlive any single chunk: a panic inside a chunk (a bug —
 /// well-formed batches return errors instead) is caught, the chunk's run is
@@ -701,7 +935,7 @@ impl<P: SessionProvenance> Drop for ShardedExecutor<P> {
 /// block forever on a queue nobody drains.
 fn worker_loop<P: SessionProvenance>(shard_idx: usize, program: &Program<P>, pool: &PoolShared) {
     let mut session = program.session();
-    while let Some(item) = pool.take_item() {
+    while let Some(item) = pool.next_item() {
         // `AssertUnwindSafe` is sound here: the only state crossing the
         // catch boundary is the session (rebuilt below on panic) and the
         // item's run (failed by the guard; its submitter sees the error).
@@ -723,18 +957,19 @@ fn execute_item<P: SessionProvenance>(
 ) {
     let WorkItem { run, chunk } = item;
     // A failed run's remaining chunks are drained without executing, so the
-    // submitter wakes as soon as every in-flight chunk has been retired.
+    // run finishes as soon as every in-flight chunk has been retired.
     if run.failed() {
-        run.retire_chunk(|_| {});
+        run.retire_chunk(pool, |_| {});
         return;
     }
     let mut guard = ChunkPanicGuard {
         run: Arc::clone(&run),
+        pool,
         armed: true,
     };
     // Borrow the chunk's samples out of the run — a chunk execution (and any
-    // spill retry) copies no fact payloads and repeats no validation (the
-    // whole batch was validated once at submission).
+    // spill retry) copies no fact payloads and repeats no validation (every
+    // sample was validated once at submission).
     let chunk_samples: Vec<&FactSet> = chunk.samples.iter().map(|&g| &run.samples[g]).collect();
     match session.run_batch_refs_prevalidated(&chunk_samples) {
         Ok(chunk_results) => {
@@ -743,13 +978,13 @@ fn execute_item<P: SessionProvenance>(
             // missing retirement (failing the run) through the
             // poison-tolerant lock — the submitter neither hangs on a
             // never-retired chunk nor double-counts a retired one.
-            run.retire_chunk(|progress| {
+            run.retire_chunk(pool, |progress| {
                 let mut local_offset = 0u32;
                 for (&global, mut result) in chunk.samples.iter().zip(chunk_results) {
                     let sample_len = run.samples[global].len() as u32;
                     remap_gradients(
                         &mut result,
-                        run.inline_facts,
+                        pool.inline_facts,
                         local_offset,
                         sample_len,
                         run.global_offsets[global],
@@ -769,7 +1004,9 @@ fn execute_item<P: SessionProvenance>(
             guard.armed = false;
         }
         Err(e)
-            if is_oom(&e) && chunk.samples.len() > 1 && chunk.spill_depth < run.max_spill_depth =>
+            if is_oom(&e)
+                && chunk.samples.len() > 1
+                && chunk.spill_depth < pool.config.max_spill_depth =>
         {
             // Spill: halve the working set and requeue both halves (for any
             // idle shard to pick up). The halves preserve ascending sample
@@ -780,7 +1017,7 @@ fn execute_item<P: SessionProvenance>(
             let half = |indices: &[usize]| Chunk {
                 cost: indices
                     .iter()
-                    .map(|&g| sample_cost(&run.samples[g], &run.weights))
+                    .map(|&g| sample_cost(&run.samples[g], &pool.weights))
                     .sum(),
                 samples: indices.to_vec(),
                 planned_shard: Some(shard_idx),
@@ -800,7 +1037,8 @@ fn execute_item<P: SessionProvenance>(
                 let mut progress = lock_recover(&run.progress);
                 progress.spills += 1;
                 progress.remaining += 1;
-                pool.submit(halves);
+                lock_recover(&pool.state).chunks.extend(halves);
+                pool.work.notify_all();
             }
             guard.armed = false;
         }
@@ -809,7 +1047,7 @@ fn execute_item<P: SessionProvenance>(
             // this run still queued are drained by whichever workers take
             // them.
             guard.armed = false;
-            run.retire_chunk(|progress| {
+            run.retire_chunk(pool, |progress| {
                 progress.error.get_or_insert(e);
             });
         }
@@ -840,12 +1078,12 @@ fn is_oom(e: &LobsterError) -> bool {
     )
 }
 
-/// Rewrites one chunk-local result's gradient ids into the global
-/// registration order of the unsharded batch: inline-fact ids (`0..inline`)
-/// are shared and unchanged; the sample's own facts move from the chunk's
-/// offset to the sample's global offset. Sample isolation guarantees no
-/// other ids can occur; any that do are dropped rather than silently pointed
-/// at another sample's facts.
+/// Rewrites one chunk-local result's gradient ids into the registration
+/// order the run reports: inline-fact ids (`0..inline`) are shared and
+/// unchanged; the sample's own facts move from the chunk's offset to the
+/// sample's global offset. Sample isolation guarantees no other ids can
+/// occur; any that do are dropped rather than silently pointed at another
+/// sample's facts.
 fn remap_gradients(
     result: &mut RunResult,
     inline: u32,
@@ -1163,5 +1401,136 @@ mod tests {
         assert_eq!(executor.shard_devices().len(), 3);
         assert!((executor.config().skew_factor - 1.5).abs() < 1e-12);
         assert_eq!(executor.config().max_spill_depth, 2);
+    }
+
+    /// Submits every sample and collects the replies in submission order.
+    fn submit_all(
+        executor: &ShardedExecutor<DiffAddMultProb>,
+        samples: &[FactSet],
+    ) -> Vec<mpsc::Receiver<Result<RunResult, LobsterError>>> {
+        samples
+            .iter()
+            .map(|sample| {
+                let (tx, rx) = mpsc::channel();
+                executor.submit(
+                    sample.clone(),
+                    Box::new(move |outcome| {
+                        let _ = tx.send(outcome);
+                    }),
+                );
+                rx
+            })
+            .collect()
+    }
+
+    #[test]
+    fn submitted_samples_are_batched_and_reply_as_if_run_alone() {
+        let program = Lobster::builder(TC)
+            .compile_typed::<DiffAddMultProb>()
+            .unwrap();
+        let samples: Vec<FactSet> = (0..9).map(|i| chain(1 + i % 3, i * 10)).collect();
+        for shards in [1, 2] {
+            let executor = ShardedExecutor::batching(
+                program.clone(),
+                ShardConfig::default().with_num_shards(shards),
+                4,
+                Duration::from_millis(1),
+            );
+            let replies = submit_all(&executor, &samples);
+            for (i, (rx, sample)) in replies.into_iter().zip(&samples).enumerate() {
+                let got = rx.recv().unwrap().unwrap();
+                // Whatever batch the sample landed in, its reply — gradient
+                // ids included — is the one-sample batch's result.
+                let want = program.run_batch(std::slice::from_ref(sample)).unwrap();
+                for rel in want[0].relations() {
+                    assert_eq!(
+                        got.relation(rel),
+                        want[0].relation(rel),
+                        "shards={shards} sample {i}"
+                    );
+                }
+            }
+            let stats = executor.batch_stats();
+            assert_eq!(stats.samples, 9, "shards={shards}");
+            assert!(stats.largest_batch <= 4, "shards={shards}: {stats:?}");
+            assert_eq!(stats.full_flushes + stats.timer_flushes, stats.batches);
+            assert!(stats.sharded_chunks >= stats.batches);
+            assert_eq!(executor.queued() + executor.executing(), 0);
+        }
+    }
+
+    #[test]
+    fn bad_submitted_facts_are_rejected_before_queueing() {
+        let program = Lobster::builder(TC)
+            .compile_typed::<DiffAddMultProb>()
+            .unwrap();
+        let executor = ShardedExecutor::new(program, ShardConfig::default());
+        let mut bad = FactSet::new();
+        bad.add("ghost", &[Value::U32(0)], None);
+        let rx = submit_all(&executor, &[bad]).remove(0);
+        // Replied before `submit` returned.
+        let err = rx.try_recv().unwrap().unwrap_err();
+        assert!(matches!(err, LobsterError::BadFact { .. }));
+        assert_eq!(executor.queued(), 0);
+        assert_eq!(executor.batch_stats(), BatchStats::default());
+    }
+
+    #[test]
+    fn dropping_an_executor_runs_every_submitted_sample() {
+        let program = Lobster::builder(TC)
+            .compile_typed::<DiffAddMultProb>()
+            .unwrap();
+        let samples: Vec<FactSet> = (0..5).map(|i| chain(2, i * 10)).collect();
+        for shards in [1, 2] {
+            // A window no test waits out: only the shutdown drain flushes.
+            let executor = ShardedExecutor::batching(
+                program.clone(),
+                ShardConfig::default().with_num_shards(shards),
+                64,
+                Duration::from_secs(30),
+            );
+            let replies = submit_all(&executor, &samples);
+            assert_eq!(executor.queued(), 5);
+            drop(executor);
+            for rx in replies {
+                assert!(rx.recv().unwrap().is_ok(), "shards={shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_queue_lock_does_not_take_down_the_executor() {
+        let program = Lobster::builder(TC)
+            .compile_typed::<DiffAddMultProb>()
+            .unwrap();
+        for shards in [1, 2] {
+            let executor = Arc::new(ShardedExecutor::batching(
+                program.clone(),
+                ShardConfig::default().with_num_shards(shards),
+                1,
+                Duration::from_millis(1),
+            ));
+            // Poison the queue mutex: a thread panics while holding it.
+            // Every lock site — submit, the workers' batch forming, replies,
+            // Drop's drain — must recover the guard instead of cascading the
+            // panic.
+            let poisoner = {
+                let executor = Arc::clone(&executor);
+                std::thread::spawn(move || {
+                    let _guard = executor.pool.state.lock().unwrap();
+                    panic!("deliberate poison");
+                })
+            };
+            assert!(poisoner.join().is_err(), "the poisoner must panic");
+            assert!(executor.pool.state.lock().is_err(), "lock not poisoned");
+            // The executor still serves, counts, and drains.
+            let rx = submit_all(&executor, &[chain(2, 0)]).remove(0);
+            assert!(rx.recv().unwrap().is_ok(), "shards={shards}");
+            assert!(executor.run_batch(&[chain(2, 0)]).is_ok());
+            assert_eq!(executor.queued(), 0);
+            let late = submit_all(&executor, &[chain(2, 10)]).remove(0);
+            drop(Arc::into_inner(executor).expect("sole owner"));
+            assert!(late.recv().unwrap().is_ok(), "drop must still drain");
+        }
     }
 }

@@ -43,8 +43,8 @@ pub struct CompiledProgram {
 pub fn compile(items: &[Item]) -> Result<CompiledProgram, DatalogError> {
     let inferred = infer_schemas(items)?;
     // Intern through the process-wide table: every compiled program agrees
-    // on symbol ids, so pooled sessions, incremental delta sessions, and TCP
-    // connections can exchange encoded facts without re-interning.
+    // on symbol ids, so shard workers' sessions, incremental delta sessions,
+    // and TCP connections can exchange encoded facts without re-interning.
     let symbols = SymbolTable::global();
 
     let mut schemas: BTreeMap<String, RelationSchema> = BTreeMap::new();

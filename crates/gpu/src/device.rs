@@ -326,8 +326,15 @@ impl Device {
     /// every batch against the same shard devices. Their counters are
     /// monotone over that whole lifetime; per-batch attribution is a
     /// [`DeviceStats::delta_since`] between snapshots, not a counter reset.
+    ///
+    /// One shard is the whole device: `split_shards(1)` returns a clone of
+    /// this device (shared pool, statistics and memory accounting), so a
+    /// single-shard executor spawns no second kernel pool.
     pub fn split_shards(&self, n: usize) -> Vec<Device> {
         let n = n.max(1);
+        if n == 1 {
+            return vec![self.clone()];
+        }
         (0..n)
             .map(|i| {
                 // Distribute both remainders over the leading shards, so the
@@ -602,6 +609,22 @@ mod tests {
             assert_eq!(shard.config().hash_table_expansion, 3);
             assert_eq!(shard.config().min_parallel_rows, 128);
         }
+    }
+
+    #[test]
+    fn a_single_shard_is_the_device_itself() {
+        let dev = Device::new(DeviceConfig {
+            parallelism: 3,
+            memory_limit: Some(1000),
+            ..DeviceConfig::default()
+        });
+        let shards = dev.split_shards(1);
+        assert_eq!(shards.len(), 1);
+        // Work on the shard is work on the device: one pool, one ledger.
+        shards[0].record_kernel();
+        assert_eq!(dev.stats().kernel_launches, 1);
+        assert_eq!(shards[0].config().memory_limit, Some(1000));
+        assert_eq!(shards[0].pool_workers(), dev.pool_workers());
     }
 
     #[test]

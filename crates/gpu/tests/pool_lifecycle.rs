@@ -5,6 +5,18 @@
 //! shard devices must each get their own correctly sized pool.
 
 use lobster_gpu::{kernels, Device, DeviceConfig};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The leak checks count the threads of the whole *process*, and every
+/// test here creates and drops pool threads of its own. Each test holds
+/// this lock for its whole body, so no sibling's pool comes or goes while a
+/// count is being taken.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failing sibling must not cascade into every later test.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Reads this process's live thread count from `/proc/self/status`.
 /// Returns `None` off Linux (or in a sandbox that hides procfs), in which
@@ -35,6 +47,7 @@ fn exercise(dev: &Device) {
 
 #[test]
 fn repeated_create_drop_does_not_leak_threads() {
+    let _serial = serial();
     let Some(before) = os_thread_count() else {
         eprintln!("skipping: /proc/self/status not readable");
         return;
@@ -57,6 +70,7 @@ fn repeated_create_drop_does_not_leak_threads() {
 
 #[test]
 fn sequential_device_owns_no_pool_threads() {
+    let _serial = serial();
     let dev = Device::sequential();
     assert_eq!(dev.pool_workers(), 0);
     exercise(&dev); // still executes, inline on the launching thread
@@ -64,6 +78,7 @@ fn sequential_device_owns_no_pool_threads() {
 
 #[test]
 fn clones_share_one_pool_and_drop_joins_only_the_last() {
+    let _serial = serial();
     let Some(baseline) = os_thread_count() else {
         eprintln!("skipping: /proc/self/status not readable");
         return;
@@ -85,6 +100,7 @@ fn clones_share_one_pool_and_drop_joins_only_the_last() {
 
 #[test]
 fn split_shards_gives_each_shard_its_own_pool() {
+    let _serial = serial();
     let parent = device(8);
     let shards = parent.split_shards(3);
     // Parallelism 8 over 3 shards: 3 + 3 + 2 lanes; workers are lanes - 1.
@@ -102,6 +118,7 @@ fn split_shards_gives_each_shard_its_own_pool() {
 
 #[test]
 fn pool_survives_a_panicking_kernel() {
+    let _serial = serial();
     let dev = device(4);
     let data: Vec<u64> = (0..4096).collect();
     let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -131,7 +131,7 @@ impl InputFactRegistry {
     }
 
     /// Drops every fact with id `len` or above, keeping the first `len`
-    /// registrations (and the backing allocations) intact. A session pool
+    /// registrations (and the backing allocations) intact. `Session::reset`
     /// uses this to return a recycled session to its freshly-opened state
     /// without reallocating the registry.
     pub fn truncate(&self, len: usize) {

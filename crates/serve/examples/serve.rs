@@ -1,14 +1,14 @@
 //! A miniature model server: one process-wide [`ProgramCache`], one
 //! [`BatchScheduler`] per hot program, many concurrent request threads —
 //! including the persistent sharded runtime (`num_shards > 1`: one
-//! long-lived shard worker pool serving every batch) and direct session-pool
-//! reuse. This is the executable version of the request lifecycle described
-//! in `docs/ARCHITECTURE.md`.
+//! long-lived shard worker pool forming and running every batch). This is
+//! the executable version of the request lifecycle described in
+//! `docs/ARCHITECTURE.md`.
 //!
 //! Run with `cargo run -p lobster-serve --example serve`. The example prints
 //! the cache behaviour (miss → compile, hits, coalesced concurrent
-//! requests), the scheduler's batching statistics, and the session-pool
-//! reuse counters, so it doubles as a quick tour of the serving knobs.
+//! requests) and the scheduler's batching statistics, so it doubles as a
+//! quick tour of the serving knobs.
 
 use lobster::{FactSet, ProvenanceKind, Value};
 use lobster_serve::{BatchScheduler, ProgramCache, SchedulerConfig};
@@ -57,8 +57,8 @@ fn main() {
     // `max_batch_size` caps how many requests share a fix-point;
     // `max_queue_delay` bounds how long the first request of a batch can
     // wait for company. With `num_shards` = 2 the scheduler spawns its
-    // two shard workers ONCE, here — every batch below is fed to those same
-    // threads over a work queue, paying no per-batch spawn/join.
+    // two shard workers ONCE, here — they form every batch below and run
+    // it, paying no per-batch spawn/join.
     let scheduler = BatchScheduler::new(
         program,
         SchedulerConfig::default()
@@ -101,24 +101,4 @@ fn main() {
         stats.sharded_chunks >= stats.batches,
         "every batch fanned out across the persistent shard workers"
     );
-
-    // --- The session pool: per-request state, recycled. -------------------
-    // A handler that runs one-off (unbatched) requests borrows a session
-    // instead of building one: the pool resets it on return, so request
-    // state never leaks while the registry/fact allocations are reused.
-    let pool = scheduler.program().session_pool();
-    for i in 0..32u32 {
-        let mut session = pool.acquire();
-        session
-            .add_fact("edge", &[Value::U32(i), Value::U32(i + 1)], Some(0.5))
-            .expect("well-formed fact");
-        let result = session.run().expect("request runs");
-        assert_eq!(result.len("path"), 1, "a recycled session starts clean");
-    }
-    let pool_stats = pool.stats();
-    println!(
-        "session pool: 32 one-off requests served by {} session(s) ({} reuses)",
-        pool_stats.created, pool_stats.reused
-    );
-    assert_eq!(pool_stats.created, 1);
 }

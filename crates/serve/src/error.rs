@@ -27,10 +27,7 @@ impl fmt::Display for ServeError {
             ServeError::Lobster(e) => write!(f, "{e}"),
             ServeError::ShutDown => write!(f, "scheduler shut down before the request was served"),
             ServeError::Disconnected => {
-                write!(
-                    f,
-                    "scheduler worker disconnected without serving the request"
-                )
+                write!(f, "shard worker disconnected without serving the request")
             }
             ServeError::TimedOut => write!(f, "timed out waiting for the request's batch"),
         }

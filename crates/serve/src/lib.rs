@@ -5,9 +5,9 @@
 //! samples (Section 4.3); the PR 1 API split made the compiled [`Program`]
 //! an immutable, `Arc`-shareable artifact. This crate turns those two
 //! properties into a server runtime in which everything structural is built
-//! once and recycled — compiled programs, scheduler threads, shard worker
-//! threads, sessions — so a warm request pays only validation, queueing,
-//! and its share of a fix-point:
+//! once and recycled — compiled programs, shard worker threads and their
+//! sessions — so a warm request pays only validation, queueing, and its
+//! share of a fix-point:
 //!
 //! * [`ProgramCache`] — a keyed cache `(source hash, provenance kind,
 //!   options fingerprint) → Arc<DynProgram>` so each distinct program
@@ -22,16 +22,14 @@
 //!   [`SchedulerConfig::max_batch_size`] and
 //!   [`SchedulerConfig::max_queue_delay`]; results are routed back to each
 //!   caller over a per-request channel. Plain `std` threads and `mpsc` —
-//!   no async runtime dependency. Single-device batches run on sessions
-//!   recycled through a [`DynSessionPool`] (registry and inline facts
-//!   built once, reset between batches); with
-//!   [`SchedulerConfig::num_shards`] above 1 the scheduler holds **one**
-//!   persistent [`DynShardedExecutor`] — shard workers spawned at
-//!   construction, fed every pooled batch over a work queue, joined on
-//!   drop — and every batch fans out across its shard devices with
-//!   identical results. See the "Multi-device sharding" section of the
-//!   `lobster` crate docs and `docs/ARCHITECTURE.md` for the full request
-//!   lifecycle, knob reference, and shard-vs-batch guidance.
+//!   no async runtime dependency. The scheduler itself owns no thread: it
+//!   holds **one** persistent [`DynShardedExecutor`] whose shard workers —
+//!   spawned at construction, joined on drop — form every batch and run
+//!   it, fanned out across [`SchedulerConfig::num_shards`] shard devices
+//!   with identical results (one shard is the program's own device). See
+//!   the "Multi-device sharding" section of the `lobster` crate docs and
+//!   `docs/ARCHITECTURE.md` for the full request lifecycle, knob
+//!   reference, and shard-vs-batch guidance.
 //! * [`Server`] — the network front end: a std-TCP, length-prefixed JSON
 //!   protocol over the scheduler, with per-key token-bucket quotas
 //!   ([`KeyStore`]), queue-depth admission control that sheds overload
@@ -43,8 +41,8 @@
 //!
 //! # Example
 //!
-//! The whole serving path — cache, persistent sharded scheduler, session
-//! pool — in one place (`examples/serve.rs` is the narrated version):
+//! The whole serving path — cache and persistent sharded scheduler — in one
+//! place (`examples/serve.rs` is the narrated version):
 //!
 //! ```
 //! use lobster::{FactSet, ProvenanceKind, Value};
@@ -81,23 +79,12 @@
 //!     let p = result.probability("path", &[Value::U32(round), Value::U32(round + 1)]);
 //!     assert!((p - 0.9).abs() < 1e-9);
 //! }
-//!
-//! // One-off (unbatched) requests borrow recycled sessions from a pool;
-//! // the pool resets each session on return, so no facts leak between
-//! // requests.
-//! let pool = scheduler.program().session_pool();
-//! for i in 0..3u32 {
-//!     let mut session = pool.acquire();
-//!     session.add_fact("edge", &[Value::U32(i), Value::U32(i + 1)], Some(0.5)).unwrap();
-//!     assert_eq!(session.run().unwrap().len("path"), 1); // clean every time
-//! }
-//! assert_eq!(pool.stats().created, 1);
+//! assert_eq!(scheduler.stats().samples, 4);
 //! # drop(again);
 //! ```
 //!
 //! [`Program`]: lobster::Program
 //! [`DynProgram::compiled_size_bytes`]: lobster::DynProgram::compiled_size_bytes
-//! [`DynSessionPool`]: lobster::DynSessionPool
 //! [`DynShardedExecutor`]: lobster::DynShardedExecutor
 //! [`FactSet`]: lobster::FactSet
 

@@ -30,7 +30,7 @@
 //! already-interned id) — and responses resolve interned symbols back to
 //! `{"sym": "text"}` where possible. Because compilation and the wire layer
 //! share one interner, ids in request facts agree with the ids symbol
-//! constants compiled to, across every pooled session on the server. A successful `run` answers
+//! constants compiled to, across every session on the server. A successful `run` answers
 //!
 //! ```json
 //! {"ok": true, "relations": {"path": [
@@ -58,7 +58,7 @@
 //! joins: new connections are refused, idle connections are told
 //! `"shutdown"` and closed, and connections with a request in flight write
 //! that response first — in-flight tickets resolve, because dropping the
-//! scheduler drains its queue before the workers exit.
+//! scheduler drains its queue before the shard workers exit.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
 use crate::auth::{AuthError, AuthStats, KeyStore};
@@ -66,7 +66,9 @@ use crate::cache::{CacheStats, ProgramCache};
 use crate::error::ServeError;
 use crate::json::{obj, parse, Json};
 use crate::scheduler::{BatchScheduler, SchedulerConfig};
-use lobster::{DynProgram, FactSet, LobsterError, RunResult, SymbolTable, Value};
+use lobster::{
+    ArenaStats, DeviceStats, DynProgram, FactSet, LobsterError, RunResult, SymbolTable, Value,
+};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -77,7 +79,7 @@ use std::time::{Duration, Instant};
 /// Knobs of the [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Scheduler knobs (batching, workers, shards).
+    /// Scheduler knobs (batching, shards).
     pub scheduler: SchedulerConfig,
     /// Admission-control knobs (pending cap, retry-after window).
     pub admission: AdmissionConfig,
@@ -536,7 +538,7 @@ fn handle_request(payload: &[u8], shared: &ServerShared) -> Json {
                 }
                 Err(ServeError::Disconnected) => rejected(reject(
                     "disconnected",
-                    "scheduler worker died without responding",
+                    "shard worker died without responding",
                     None,
                 )),
             }
@@ -749,15 +751,24 @@ fn cache_stats_json(stats: &CacheStats) -> Json {
 
 /// The `metrics` document: every stats surface the serving stack already
 /// collects, serialized in one place — scheduler, admission, auth,
-/// sessions, device (kernel-time buckets and arena), connections, and the
-/// program cache when the server was given one.
+/// device (kernel-time buckets and arena, summed over the shard devices
+/// that ran the batches), connections, and the program cache when the
+/// server was given one.
 fn metrics_json(shared: &ServerShared) -> Json {
     let scheduler = shared.scheduler.stats();
     let admission = shared.admission.stats();
     let auth = shared.keys.stats();
-    let sessions = shared.scheduler.session_pool_stats();
-    let device = shared.scheduler.program().device().stats();
-    let arena = shared.scheduler.program().device().arena().stats();
+    let mut device = DeviceStats::default();
+    let mut arena = ArenaStats::default();
+    for shard in shared.scheduler.executor().shard_devices() {
+        device.merge(&shard.stats());
+        let shard_arena = shard.arena().stats();
+        arena.fresh_columns += shard_arena.fresh_columns;
+        arena.reused_columns += shard_arena.reused_columns;
+        arena.recycled_columns += shard_arena.recycled_columns;
+        arena.pooled_buffers += shard_arena.pooled_buffers;
+        arena.pooled_bytes += shard_arena.pooled_bytes;
+    }
     let mut metrics = obj([
         ("ok", Json::Bool(true)),
         (
@@ -795,13 +806,6 @@ fn metrics_json(shared: &ServerShared) -> Json {
                 ("unauthorized", Json::from(auth.unauthorized)),
                 ("quota_rejected", Json::from(auth.quota_rejected)),
                 ("keys", Json::from(shared.keys.len())),
-            ]),
-        ),
-        (
-            "sessions",
-            obj([
-                ("created", Json::from(sessions.created)),
-                ("reused", Json::from(sessions.reused)),
             ]),
         ),
         (
@@ -1155,56 +1159,67 @@ mod tests {
 
     #[test]
     fn metrics_reports_every_stats_surface() {
-        let cache = Arc::new(ProgramCache::new());
-        let program = cache
-            .get_or_compile(TC, ProvenanceKind::AddMultProb)
+        for num_shards in [1, 2] {
+            let cache = Arc::new(ProgramCache::new());
+            let program = cache
+                .get_or_compile(TC, ProvenanceKind::AddMultProb)
+                .unwrap();
+            let keys = KeyStore::new();
+            keys.add_key("k", Quota::unlimited());
+            let server = Server::bind(
+                ("127.0.0.1", 0),
+                program,
+                keys,
+                ServerConfig {
+                    scheduler: SchedulerConfig::default().with_num_shards(num_shards),
+                    cache: Some(Arc::clone(&cache)),
+                    ..ServerConfig::default()
+                },
+            )
             .unwrap();
-        let keys = KeyStore::new();
-        keys.add_key("k", Quota::unlimited());
-        let server = Server::bind(
-            ("127.0.0.1", 0),
-            program,
-            keys,
-            ServerConfig {
-                cache: Some(Arc::clone(&cache)),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let mut client = Client::connect(server.local_addr(), "k").unwrap();
-        assert!(client.run(&edge_request(0, 1, 0.5)).unwrap().ok());
-        let metrics = client.metrics().unwrap();
-        assert!(metrics.ok());
-        let doc = metrics.json();
-        let samples = doc
-            .get("scheduler")
-            .and_then(|s| s.get("samples"))
-            .and_then(Json::as_u64);
-        assert_eq!(samples, Some(1));
-        assert_eq!(
-            doc.get("admission")
-                .and_then(|a| a.get("admitted"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            doc.get("cache")
-                .and_then(|c| c.get("compiles"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        for surface in ["auth", "sessions", "connections", "device"] {
-            assert!(doc.get(surface).is_some(), "metrics missing {surface}");
+            let mut client = Client::connect(server.local_addr(), "k").unwrap();
+            assert!(client.run(&edge_request(0, 1, 0.5)).unwrap().ok());
+            let metrics = client.metrics().unwrap();
+            assert!(metrics.ok());
+            let doc = metrics.json();
+            let samples = doc
+                .get("scheduler")
+                .and_then(|s| s.get("samples"))
+                .and_then(Json::as_u64);
+            assert_eq!(samples, Some(1));
+            assert_eq!(
+                doc.get("admission")
+                    .and_then(|a| a.get("admitted"))
+                    .and_then(Json::as_u64),
+                Some(1)
+            );
+            assert_eq!(
+                doc.get("cache")
+                    .and_then(|c| c.get("compiles"))
+                    .and_then(Json::as_u64),
+                Some(1)
+            );
+            for surface in ["auth", "connections", "device"] {
+                assert!(doc.get(surface).is_some(), "metrics missing {surface}");
+            }
+            let device = doc.get("device").expect("device surface");
+            assert!(
+                device
+                    .get("kernel_time")
+                    .and_then(|t| t.get("join_ms"))
+                    .and_then(Json::as_f64)
+                    .is_some(),
+                "kernel-time buckets missing"
+            );
+            // The devices that ran the request report its kernels, whatever
+            // the shard count.
+            let launches = device.get("kernel_launches").and_then(Json::as_u64);
+            assert!(
+                launches.is_some_and(|n| n > 0),
+                "num_shards={num_shards}: kernel_launches {launches:?}"
+            );
+            server.shutdown();
         }
-        assert!(
-            doc.get("device")
-                .and_then(|d| d.get("kernel_time"))
-                .and_then(|t| t.get("join_ms"))
-                .and_then(Json::as_f64)
-                .is_some(),
-            "kernel-time buckets missing"
-        );
-        server.shutdown();
     }
 
     #[test]

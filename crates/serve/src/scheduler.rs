@@ -1,53 +1,35 @@
 //! The batching request scheduler.
 
 use crate::error::ServeError;
-use lobster::{
-    DynProgram, DynSessionPool, DynShardedExecutor, FactSet, InputFactId, PooledSession, RunResult,
-    SessionPoolStats, ShardConfig,
-};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use lobster::{DynProgram, DynShardedExecutor, FactSet, InputFactId, RunResult, ShardConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Weak};
+use std::time::Duration;
 
-/// Recovers a queue guard from a poisoned lock. The queue is a plain
-/// `VecDeque` plus `Instant`s — valid whatever a panicking holder was doing
-/// mid-push — so a single worker panicking (e.g. on a pathological request)
-/// must not cascade `expect` panics through every sibling worker, every
-/// subsequent `submit`, and the scheduler's own `Drop`.
-fn recover<'a, T>(
-    result: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    result.unwrap_or_else(PoisonError::into_inner)
-}
+/// Counters describing the batches a scheduler has run (see
+/// [`BatchScheduler::stats`]).
+pub use lobster::BatchStats as SchedulerStats;
 
 /// Knobs trading per-request latency against batched throughput.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// A batch is flushed as soon as it holds this many requests.
     pub max_batch_size: usize,
-    /// A batch is flushed this long after its *first* request arrived, even
+    /// A batch is flushed this long after its *oldest* request arrived, even
     /// if it is not full — bounding the queueing latency a request can pay.
     pub max_queue_delay: Duration,
-    /// Number of worker threads draining the queue. Each worker runs whole
-    /// batches, so more workers overlap fix-points of *different* batches.
-    pub workers: usize,
-    /// Number of shard devices each batch is partitioned across. `1` (the
-    /// default) runs every batch on the program's own device; above 1, the
-    /// scheduler holds **one** persistent [`DynShardedExecutor`] — shard
-    /// worker threads spawned at construction and fed every pooled batch
-    /// over its work queue — and batches fan out over devices derived with
+    /// Number of shard devices the scheduler's executor runs on, one worker
+    /// thread each. `1` (the default) is one shard on the program's own
+    /// device; above 1, batches fan out over devices derived with
     /// `Device::split_shards`, overlapping fix-points of *slices of the same
-    /// batch*. Results — tuples, probabilities, request-local gradient ids —
-    /// are identical either way.
+    /// batch*, and an idle shard worker may form the next batch while its
+    /// siblings still run the last one. Results — tuples, probabilities,
+    /// request-local gradient ids — are identical either way.
     ///
-    /// Because the executor (and its budget split) is shared by all
-    /// scheduler workers, the shard devices' memory budgets sum to the
-    /// program device's `memory_limit` *however many batches execute
-    /// concurrently* — the envelope spans the scheduler, not one batch. A
-    /// chunk that overflows its shard's budget spills (splits and retries)
-    /// rather than failing outright.
+    /// The shard devices' memory budgets sum to the program device's
+    /// `memory_limit` *however many batches execute concurrently*. A chunk
+    /// that overflows its shard's budget spills (splits and retries) rather
+    /// than failing outright.
     pub num_shards: usize,
 }
 
@@ -56,7 +38,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             max_batch_size: 32,
             max_queue_delay: Duration::from_millis(2),
-            workers: 1,
             num_shards: 1,
         }
     }
@@ -75,12 +56,6 @@ impl SchedulerConfig {
         self
     }
 
-    /// Builder-style setter for [`SchedulerConfig::workers`].
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
-        self
-    }
-
     /// Builder-style setter for [`SchedulerConfig::num_shards`].
     pub fn with_num_shards(mut self, n: usize) -> Self {
         self.num_shards = n.max(1);
@@ -88,74 +63,15 @@ impl SchedulerConfig {
     }
 }
 
-/// Counters describing the batches a scheduler has run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchedulerStats {
-    /// Batches executed. Without sharding every batch costs one fix-point;
-    /// with [`SchedulerConfig::num_shards`] above 1 see
-    /// [`SchedulerStats::sharded_chunks`] for the fix-points actually paid.
-    pub batches: u64,
-    /// Shard chunks executed across all sharded batches — each chunk is one
-    /// fix-point (spills included). `0` when `num_shards` is 1.
-    pub sharded_chunks: u64,
-    /// Requests served across all batches.
-    pub samples: u64,
-    /// Batches flushed because they reached `max_batch_size`.
-    pub full_flushes: u64,
-    /// Batches flushed by the `max_queue_delay` timer (or shutdown drain).
-    pub timer_flushes: u64,
-    /// Largest batch executed so far.
-    pub largest_batch: usize,
-}
-
-struct Request {
-    facts: FactSet,
-    reply: mpsc::Sender<Result<RunResult, ServeError>>,
-    /// When the request entered the queue; the flush timer of a batch runs
-    /// from its *oldest* request, so queueing latency is bounded by
-    /// `max_queue_delay` even when workers were busy while it waited.
-    enqueued: Instant,
-}
-
-struct Shared {
-    program: Arc<DynProgram>,
-    /// Recycled sessions for single-device batches: each worker borrows a
-    /// session per batch instead of re-building registry + inline facts.
-    sessions: DynSessionPool,
-    /// The persistent sharded executor (`num_shards > 1` only): shard worker
-    /// threads are spawned once, here, and reused by every batch from every
-    /// scheduler worker. Dropped — and its workers joined — with the
-    /// scheduler.
-    executor: Option<DynShardedExecutor>,
-    /// Number of inline program facts a session pre-registers; batched
-    /// execution hands out per-request fact ids starting after these.
-    inline_facts: u32,
-    config: SchedulerConfig,
-    queue: Mutex<VecDeque<Request>>,
-    /// Signalled on submit and on shutdown.
-    arrivals: Condvar,
-    shutdown: AtomicBool,
-    /// Requests drained into a batch that has not finished replying yet.
-    /// `queued + executing` is the scheduler's *pending* count — the depth
-    /// an admission controller caps.
-    executing: AtomicUsize,
-    batches: AtomicU64,
-    sharded_chunks: AtomicU64,
-    samples: AtomicU64,
-    full_flushes: AtomicU64,
-    timer_flushes: AtomicU64,
-    largest_batch: AtomicUsize,
-}
-
 /// A pending request's handle: redeem it with [`Ticket::wait`] (or
 /// [`Ticket::wait_timeout`] when the caller holds a deadline).
 #[derive(Debug)]
 pub struct Ticket {
     rx: mpsc::Receiver<Result<RunResult, ServeError>>,
-    /// Back-reference for telling a clean shutdown apart from a worker that
-    /// died without responding. `Weak`: a stray ticket must not keep the
-    /// scheduler's program/executor alive.
-    shared: Weak<Shared>,
+    /// The scheduler's shutdown flag, for telling a clean shutdown apart
+    /// from a worker that died without responding. `Weak`: a stray ticket
+    /// must not outlive the scheduler's state.
+    shutdown: Weak<AtomicBool>,
 }
 
 impl Ticket {
@@ -202,13 +118,13 @@ impl Ticket {
         self.rx.try_recv().ok()
     }
 
-    /// The reply sender vanished without sending: a clean shutdown only if
-    /// the scheduler actually was (or is gone entirely — its `Drop` drains
-    /// before releasing the allocation, so an unreachable `Shared` implies
-    /// the drain finished). Anything else is a dead worker.
+    /// The reply vanished without being sent: a clean shutdown only if the
+    /// scheduler actually was shutting down (or is gone entirely — its
+    /// `Drop` drains before releasing the flag, so an unreachable flag
+    /// implies the drain finished). Anything else is a dead worker.
     fn disconnect_error(&self) -> ServeError {
-        match self.shared.upgrade() {
-            Some(shared) if !shared.shutdown.load(Ordering::SeqCst) => ServeError::Disconnected,
+        match self.shutdown.upgrade() {
+            Some(shutdown) if !shutdown.load(Ordering::SeqCst) => ServeError::Disconnected,
             _ => ServeError::ShutDown,
         }
     }
@@ -218,88 +134,70 @@ impl Ticket {
 /// batch in one fix-point instead of one per request (the paper's batched
 /// evaluation, applied to serving).
 ///
-/// The execution state behind the batches is *persistent*: single-device
-/// batches run on sessions recycled through a [`DynSessionPool`], and with
-/// [`SchedulerConfig::num_shards`] above 1 every batch is fed to one
-/// long-lived [`DynShardedExecutor`] whose shard worker threads are spawned
-/// when the scheduler is built — so a batch pays neither session setup nor
-/// thread spawn/join, the steady-state overheads that dominate at high
-/// request rates. See `docs/ARCHITECTURE.md` for the full request
-/// lifecycle.
+/// The scheduler owns no thread and no queue of its own: it holds **one**
+/// persistent [`DynShardedExecutor`], built with the scheduler, whose shard
+/// workers both form the batches (flushing when a batch fills up to
+/// [`SchedulerConfig::max_batch_size`] or its oldest request has waited
+/// [`SchedulerConfig::max_queue_delay`]) and run them. A request therefore
+/// crosses one thread hop — from the submitter to the shard worker that
+/// replies — and a batch pays neither session setup nor thread spawn/join.
+/// See `docs/ARCHITECTURE.md` for the full request lifecycle.
 ///
 /// Requests are submitted with [`BatchScheduler::submit`], which returns a
-/// [`Ticket`] immediately; worker threads flush the queue whenever a batch
-/// fills up ([`SchedulerConfig::max_batch_size`]) or the oldest queued
-/// request has waited [`SchedulerConfig::max_queue_delay`]. Derived tuples
-/// and probabilities are identical to running the same requests in one
-/// [`DynProgram::run_batch`] call: samples are isolated by the sample-id
-/// column, whatever batch each request lands in. Gradient entries are
-/// rewritten to *request-local* fact ids — `InputFactId(i)` is the `i`-th
-/// fact added to the submitted [`FactSet`] — with entries for other
-/// requests' and inline program facts dropped, so they too are independent
-/// of batch placement.
+/// [`Ticket`] immediately. Derived tuples and probabilities are identical
+/// to running the same requests in one [`DynProgram::run_batch`] call:
+/// samples are isolated by the sample-id column, whatever batch each
+/// request lands in. Gradient entries are rewritten to *request-local* fact
+/// ids — `InputFactId(i)` is the `i`-th fact added to the submitted
+/// [`FactSet`] — with entries for inline program facts dropped, so they too
+/// are independent of batch placement.
 ///
 /// Dropping the scheduler drains the queue (every queued request still
-/// runs), joins the scheduler workers, and tears down the persistent
-/// executor's shard workers.
+/// runs) and joins the shard workers.
 pub struct BatchScheduler {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    program: Arc<DynProgram>,
+    executor: DynShardedExecutor,
+    /// Number of inline program facts a session pre-registers; a request's
+    /// own fact ids start after these.
+    inline_facts: u32,
+    /// Set when the scheduler starts dropping; read by [`Ticket`]s.
+    shutdown: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for BatchScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchScheduler")
-            .field("config", &self.shared.config)
-            .field("workers", &self.workers.len())
+            .field("executor", &self.executor)
             .finish()
     }
 }
 
 impl BatchScheduler {
-    /// Spawns the worker threads for `program` with the given knobs.
+    /// Builds the scheduler's executor for `program` with the given knobs,
+    /// spawning its shard workers.
     pub fn new(program: Arc<DynProgram>, config: SchedulerConfig) -> Self {
         let inline_facts = program.session().fact_count() as u32;
-        // Build the per-scheduler execution state once, up front: a session
-        // pool for single-device batches, and — when sharding — ONE
-        // persistent executor whose shard workers serve every batch this
-        // scheduler will ever run (spawn/join is paid here, not per batch).
-        let sessions = program.session_pool();
-        let executor = (config.num_shards > 1).then(|| {
-            program.sharded_executor(ShardConfig::default().with_num_shards(config.num_shards))
-        });
-        let shared = Arc::new(Shared {
+        let executor = program.batching_executor(
+            ShardConfig::default().with_num_shards(config.num_shards),
+            config.max_batch_size,
+            config.max_queue_delay,
+        );
+        BatchScheduler {
             program,
-            sessions,
             executor,
             inline_facts,
-            config: config.clone(),
-            queue: Mutex::new(VecDeque::new()),
-            arrivals: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            executing: AtomicUsize::new(0),
-            batches: AtomicU64::new(0),
-            sharded_chunks: AtomicU64::new(0),
-            samples: AtomicU64::new(0),
-            full_flushes: AtomicU64::new(0),
-            timer_flushes: AtomicU64::new(0),
-            largest_batch: AtomicUsize::new(0),
-        });
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("lobster-serve-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn scheduler worker")
-            })
-            .collect();
-        BatchScheduler { shared, workers }
+            shutdown: Arc::new(AtomicBool::new(false)),
+        }
     }
 
     /// The program this scheduler serves.
     pub fn program(&self) -> &Arc<DynProgram> {
-        &self.shared.program
+        &self.program
+    }
+
+    /// The executor whose shard workers batch and run every request.
+    pub(crate) fn executor(&self) -> &DynShardedExecutor {
+        &self.executor
     }
 
     /// Enqueues one request and returns its [`Ticket`] without blocking.
@@ -310,45 +208,41 @@ impl BatchScheduler {
     /// and the requests they would have been co-batched with are unaffected.
     pub fn submit(&self, facts: FactSet) -> Ticket {
         let (tx, rx) = mpsc::channel();
-        let ticket = Ticket {
+        let (inline, len) = (self.inline_facts, facts.len() as u32);
+        self.executor.submit(
+            facts,
+            Box::new(move |outcome| {
+                // The executor reports ids as if the request had run alone:
+                // inline program facts first, then the request's own facts.
+                // Shift those to the request's `FactSet` positions and drop
+                // the inline ones.
+                let outcome = outcome.map_err(ServeError::Lobster).map(|mut result| {
+                    result.map_gradient_ids(|id| {
+                        id.0.checked_sub(inline)
+                            .filter(|local| *local < len)
+                            .map(InputFactId)
+                    });
+                    result
+                });
+                // A dropped ticket just discards the result.
+                let _ = tx.send(outcome);
+            }),
+        );
+        Ticket {
             rx,
-            shared: Arc::downgrade(&self.shared),
-        };
-        if let Err(e) = self.shared.program.validate_facts(&facts) {
-            let _ = tx.send(Err(ServeError::Lobster(e)));
-            return ticket;
+            shutdown: Arc::downgrade(&self.shutdown),
         }
-        let queued = {
-            let mut queue = recover(self.shared.queue.lock());
-            queue.push_back(Request {
-                facts,
-                reply: tx,
-                enqueued: Instant::now(),
-            });
-            queue.len()
-        };
-        // Wake workers only on the transitions they act on — the first
-        // request of a batch (a phase-1 sleeper must start its timer) and a
-        // full batch (a phase-2 collector can flush early). Notifying on
-        // every submit instead turns a hot submission stream into a wakeup
-        // storm in which the collector rechecks a not-yet-full queue once
-        // per request; in-between requests are picked up at flush time
-        // regardless.
-        if queued == 1 || queued >= self.shared.config.max_batch_size {
-            self.shared.arrivals.notify_all();
-        }
-        ticket
     }
 
-    /// Requests currently waiting in the queue (not yet drained into a
+    /// Requests currently waiting in the queue (not yet formed into a
     /// batch).
     pub fn queued(&self) -> usize {
-        recover(self.shared.queue.lock()).len()
+        self.executor.queued()
     }
 
-    /// Requests drained into batches that have not finished replying.
+    /// Requests formed into batches that have not finished replying.
     pub fn executing(&self) -> usize {
-        self.shared.executing.load(Ordering::Relaxed)
+        self.executor.executing()
     }
 
     /// Requests the scheduler currently holds: queued plus executing. This
@@ -362,23 +256,6 @@ impl BatchScheduler {
         executing + self.queued()
     }
 
-    /// A snapshot of the scheduler's session-pool counters (single-device
-    /// batches borrow their sessions here).
-    pub fn session_pool_stats(&self) -> SessionPoolStats {
-        self.shared.sessions.stats()
-    }
-
-    /// Borrows a session from the scheduler's pool for *incremental*
-    /// serving: a long-lived request can hold it across many
-    /// `insert_facts` / `retract_facts` / `run_incremental` steps,
-    /// re-evaluating only its deltas while the scheduler keeps serving
-    /// batched one-shot requests around it. Dropping the guard resets the
-    /// session — materialized fix point included — and returns it to the
-    /// pool, so the next borrower cannot observe this request's deltas.
-    pub fn acquire_session(&self) -> PooledSession<'_, DynProgram> {
-        self.shared.sessions.acquire()
-    }
-
     /// Convenience: submit one request and block for its result.
     ///
     /// # Errors
@@ -390,181 +267,15 @@ impl BatchScheduler {
 
     /// A snapshot of the scheduler counters.
     pub fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            sharded_chunks: self.shared.sharded_chunks.load(Ordering::Relaxed),
-            samples: self.shared.samples.load(Ordering::Relaxed),
-            full_flushes: self.shared.full_flushes.load(Ordering::Relaxed),
-            timer_flushes: self.shared.timer_flushes.load(Ordering::Relaxed),
-            largest_batch: self.shared.largest_batch.load(Ordering::Relaxed),
-        }
+        self.executor.batch_stats()
     }
 }
 
 impl Drop for BatchScheduler {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.arrivals.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Collects the next batch off the queue, honouring `max_batch_size` and
-/// `max_queue_delay`, or returns `None` when shut down with an empty queue.
-fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
-    let config = &shared.config;
-    let mut queue = recover(shared.queue.lock());
-    'restart: loop {
-        // Phase 1: wait for the first request (or shutdown).
-        loop {
-            if !queue.is_empty() {
-                break;
-            }
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            queue = recover(shared.arrivals.wait(queue));
-        }
-        // Phase 2: give the batch until `max_queue_delay` after its *oldest*
-        // request arrived to fill up. Shutdown flushes immediately — the
-        // drain must not dawdle. The lock is released while waiting, so a
-        // sibling worker may drain the queue under us: the deadline is
-        // re-derived from the *current* front each iteration, and an emptied
-        // queue sends us back to phase 1 rather than flushing a phantom
-        // batch (or punishing a fresh request with a dead request's expired
-        // deadline).
-        let mut timed_out = false;
-        while queue.len() < config.max_batch_size && !shared.shutdown.load(Ordering::SeqCst) {
-            let Some(front) = queue.front() else {
-                continue 'restart;
-            };
-            let deadline = front.enqueued + config.max_queue_delay;
-            let now = Instant::now();
-            if now >= deadline {
-                timed_out = true;
-                break;
-            }
-            // The wait result is deliberately ignored: whether this wake was
-            // a timeout or a notify, the loop top re-derives the deadline
-            // from the *current* front and only declares a timeout when that
-            // deadline has genuinely passed. Trusting `timed_out()` here
-            // would flush a request that arrived during the wait against a
-            // drained request's expired deadline.
-            let (guard, _) = shared
-                .arrivals
-                .wait_timeout(queue, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            queue = guard;
-            if queue.is_empty() {
-                continue 'restart;
-            }
-        }
-        if queue.is_empty() {
-            // A sibling drained the queue between our last wake and here.
-            continue 'restart;
-        }
-        if queue.len() >= config.max_batch_size {
-            shared.full_flushes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // Timer expiry or shutdown drain.
-            debug_assert!(timed_out || shared.shutdown.load(Ordering::SeqCst));
-            shared.timer_flushes.fetch_add(1, Ordering::Relaxed);
-        }
-        let n = queue.len().min(config.max_batch_size);
-        // Move the requests from "queued" to "executing" under the queue
-        // lock, so `pending()` never observes them in neither state.
-        shared.executing.fetch_add(n, Ordering::Relaxed);
-        return Some(queue.drain(..n).collect());
-    }
-}
-
-/// Decrements `executing` when the batch is done — by `Drop`, so a worker
-/// panicking mid-batch cannot leave its requests counted as in flight
-/// forever (the admission depth would ratchet shut).
-struct ExecutingGuard<'a> {
-    shared: &'a Shared,
-    n: usize,
-}
-
-impl Drop for ExecutingGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.executing.fetch_sub(self.n, Ordering::Relaxed);
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(batch) = next_batch(shared) {
-        let _executing = ExecutingGuard {
-            shared,
-            n: batch.len(),
-        };
-        if batch.is_empty() {
-            continue;
-        }
-        // Move the fact sets out of the requests rather than cloning them:
-        // request payloads are in the hot path of every batch.
-        let (facts, replies): (Vec<FactSet>, Vec<_>) =
-            batch.into_iter().map(|r| (r.facts, r.reply)).unzip();
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .samples
-            .fetch_add(facts.len() as u64, Ordering::Relaxed);
-        shared
-            .largest_batch
-            .fetch_max(facts.len(), Ordering::Relaxed);
-        // The gradient remap below needs each request's fact count; snapshot
-        // them before the sharded path takes ownership of the payloads.
-        let request_lens: Vec<u32> = facts.iter().map(|f| f.len() as u32).collect();
-        // With `num_shards > 1` the batch is handed — without copying a
-        // fact — to the scheduler's persistent sharded executor: its
-        // long-lived shard workers fan the batch out across shard devices
-        // and merge results back into submission order with the same global
-        // fact-id layout, so the request-local gradient remap below is
-        // shard-agnostic. Single-device batches run on a pooled session, so
-        // steady-state batches rebuild neither registry nor inline facts.
-        let outcome = if let Some(executor) = &shared.executor {
-            executor.run_batch_owned(facts).map(|(results, stats)| {
-                shared
-                    .sharded_chunks
-                    .fetch_add(stats.executed_chunks as u64, Ordering::Relaxed);
-                results
-            })
-        } else {
-            shared.sessions.acquire().run_batch(&facts)
-        };
-        match outcome {
-            Ok(mut results) => {
-                // Raw gradient ids are batch-relative (all samples share one
-                // forked registry, ids handed out in batch order after the
-                // inline program facts). Translate each result's ids into
-                // request-local indices — the position of the fact in the
-                // submitted `FactSet` — and drop entries pointing at other
-                // requests' or inline facts, so a client's gradients mean
-                // the same thing whatever batch its request landed in.
-                let mut next_id = shared.inline_facts;
-                for (result, len) in results.iter_mut().zip(&request_lens) {
-                    let start = next_id;
-                    let len = *len;
-                    next_id += len;
-                    result.map_gradient_ids(|id| {
-                        id.0.checked_sub(start)
-                            .filter(|local| *local < len)
-                            .map(InputFactId)
-                    });
-                }
-                for (reply, result) in replies.into_iter().zip(results) {
-                    // A dropped ticket just discards the result.
-                    let _ = reply.send(Ok(result));
-                }
-            }
-            Err(e) => {
-                for reply in replies {
-                    let _ = reply.send(Err(ServeError::Lobster(e.clone())));
-                }
-            }
-        }
+        // The executor field drops next: its workers run every queued
+        // request, then exit.
+        self.shutdown.store(true, Ordering::SeqCst);
     }
 }
 
@@ -582,6 +293,10 @@ mod tests {
         facts.add("edge", &[Value::U32(a), Value::U32(b)], Some(p));
         facts
     }
+
+    /// The two executor shapes: one shard on the program's device, and a
+    /// split device whose two workers race each other to form batches.
+    const SHARDS: [usize; 2] = [1, 2];
 
     fn program() -> Arc<DynProgram> {
         Arc::new(DynProgram::compile(TC, ProvenanceKind::AddMultProb).unwrap())
@@ -677,19 +392,20 @@ mod tests {
         // Two single-request chunks per batch, no spills: measured, not
         // modeled — a leak across batches would show up here.
         assert_eq!(stats.sharded_chunks, 80);
-        drop(scheduler); // joins scheduler workers AND shard workers
+        drop(scheduler); // joins the shard workers
     }
 
     #[test]
-    fn single_device_batches_recycle_pooled_sessions_without_fact_leakage() {
+    fn single_shard_batches_reuse_the_worker_session_without_fact_leakage() {
         let scheduler = BatchScheduler::new(
             program(),
             SchedulerConfig::default()
                 .with_max_batch_size(1)
                 .with_max_queue_delay(Duration::from_millis(1)),
         );
-        // Sequential single-request batches all flow through one recycled
-        // session; a fact leaking between batches would surface as an extra
+        // Sequential single-request batches all run on the one shard
+        // worker's persistent session; a fact leaking between batches would
+        // surface as an extra
         // `path` tuple or a wrong probability in a later request.
         for i in 0..30u32 {
             let result = scheduler
@@ -706,59 +422,38 @@ mod tests {
     }
 
     #[test]
-    fn acquired_incremental_sessions_reset_on_return_to_the_pool() {
-        let scheduler = BatchScheduler::new(program(), SchedulerConfig::default());
-        {
-            let mut session = scheduler.acquire_session();
-            session.insert_facts(&edge_request(0, 1, 0.5)).unwrap();
-            let result = session.run_incremental().unwrap();
-            assert!(
-                (result.probability("path", &[Value::U32(0), Value::U32(1)]) - 0.5).abs() < 1e-9
-            );
-            assert!(session.is_materialized());
-            // Grow the fix-point in place: the second call is a delta update
-            // against the materialized state, not a from-scratch run.
-            session.insert_facts(&edge_request(1, 2, 0.5)).unwrap();
-            let result = session.run_incremental().unwrap();
-            assert_eq!(result.len("path"), 3);
-        } // guard drop returns the session to the pool, resetting it
-        let mut session = scheduler.acquire_session();
-        assert!(!session.is_materialized(), "recycled session leaked deltas");
-        session.insert_facts(&edge_request(7, 8, 0.25)).unwrap();
-        let result = session.run_incremental().unwrap();
-        assert_eq!(result.len("path"), 1, "recycled session leaked facts");
-        assert!((result.probability("path", &[Value::U32(7), Value::U32(8)]) - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
     fn drop_drains_queued_requests() {
-        let scheduler = BatchScheduler::new(
-            program(),
-            SchedulerConfig::default()
-                .with_max_batch_size(64)
-                .with_max_queue_delay(Duration::from_secs(30)),
-        );
-        let tickets: Vec<Ticket> = (0..3)
-            .map(|i| scheduler.submit(edge_request(i, i + 1, 0.5)))
-            .collect();
-        drop(scheduler);
-        for ticket in tickets {
-            assert!(ticket.wait().is_ok());
+        for shards in SHARDS {
+            let scheduler = BatchScheduler::new(
+                program(),
+                SchedulerConfig::default()
+                    .with_max_batch_size(64)
+                    .with_max_queue_delay(Duration::from_secs(30))
+                    .with_num_shards(shards),
+            );
+            let tickets: Vec<Ticket> = (0..3)
+                .map(|i| scheduler.submit(edge_request(i, i + 1, 0.5)))
+                .collect();
+            drop(scheduler);
+            for ticket in tickets {
+                assert!(ticket.wait().is_ok(), "shards={shards}");
+            }
         }
     }
 
     #[test]
-    fn trickled_requests_with_two_workers_are_all_served_without_phantom_batches() {
+    fn trickled_requests_with_two_shards_are_all_served_without_phantom_batches() {
         let scheduler = BatchScheduler::new(
             program(),
             SchedulerConfig::default()
                 .with_max_batch_size(4)
                 .with_max_queue_delay(Duration::from_micros(200))
-                .with_workers(2),
+                .with_num_shards(2),
         );
-        // Trickle requests so timer flushes race both workers against the
-        // queue (the stale-deadline case: one worker drains while the other
-        // still holds the old front's expired deadline).
+        // Trickle requests so timer flushes race both batch-forming shard
+        // workers against the queue (the stale-deadline case: one worker
+        // drains while the other still holds the old front's expired
+        // deadline).
         let mut tickets = Vec::new();
         for i in 0..20u32 {
             tickets.push(scheduler.submit(edge_request(i, i + 1, 0.5)));
@@ -803,35 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn a_poisoned_queue_lock_does_not_take_down_the_scheduler() {
-        let scheduler = Arc::new(BatchScheduler::new(
-            program(),
-            SchedulerConfig::default()
-                .with_max_batch_size(1)
-                .with_max_queue_delay(Duration::from_millis(1)),
-        ));
-        // Poison the queue mutex: a thread panics while holding it. Every
-        // lock site — submit, queued(), the workers' next_batch, Drop's
-        // drain — must recover the guard instead of cascading the panic.
-        let poisoner = {
-            let scheduler = Arc::clone(&scheduler);
-            std::thread::spawn(move || {
-                let _guard = scheduler.shared.queue.lock().unwrap();
-                panic!("deliberate poison");
-            })
-        };
-        assert!(poisoner.join().is_err(), "the poisoner must panic");
-        assert!(scheduler.shared.queue.lock().is_err(), "lock not poisoned");
-        // The scheduler still serves, counts, and drains.
-        let result = scheduler.run_one(edge_request(0, 1, 0.5)).unwrap();
-        assert!((result.probability("path", &[Value::U32(0), Value::U32(1)]) - 0.5).abs() < 1e-9);
-        assert_eq!(scheduler.queued(), 0);
-        let late = scheduler.submit(edge_request(1, 2, 0.5));
-        drop(Arc::into_inner(scheduler).expect("sole owner"));
-        assert!(late.wait().is_ok(), "drop must still drain the queue");
-    }
-
-    #[test]
     fn a_dead_sender_is_a_disconnect_while_the_scheduler_lives() {
         let scheduler = BatchScheduler::new(program(), SchedulerConfig::default());
         // Forge the failure `wait` must classify: the reply sender vanished
@@ -840,7 +506,7 @@ mod tests {
         drop(tx);
         let ticket = Ticket {
             rx,
-            shared: Arc::downgrade(&scheduler.shared),
+            shutdown: Arc::downgrade(&scheduler.shutdown),
         };
         assert_eq!(ticket.wait().unwrap_err(), ServeError::Disconnected);
         // The scheduler itself keeps serving after the lost request.
@@ -850,25 +516,25 @@ mod tests {
     #[test]
     fn a_dead_sender_during_shutdown_is_a_clean_shutdown() {
         let scheduler = BatchScheduler::new(program(), SchedulerConfig::default());
-        let shared = Arc::clone(&scheduler.shared);
+        let shutdown = Arc::clone(&scheduler.shutdown);
         let (tx, rx) = mpsc::channel();
         drop(tx);
         let mid_shutdown = Ticket {
             rx,
-            shared: Arc::downgrade(&shared),
+            shutdown: Arc::downgrade(&shutdown),
         };
         let (tx, rx) = mpsc::channel();
         drop(tx);
         let after_teardown = Ticket {
             rx,
-            shared: Arc::downgrade(&scheduler.shared),
+            shutdown: Arc::downgrade(&scheduler.shutdown),
         };
         drop(scheduler);
         // The shutdown flag is set (observed via our kept Arc)...
         assert_eq!(mid_shutdown.wait().unwrap_err(), ServeError::ShutDown);
-        drop(shared);
-        // ...and once the Shared allocation itself is gone (drain finished),
-        // an unresolvable Weak means the same thing.
+        drop(shutdown);
+        // ...and once the flag itself is gone (drain finished), an
+        // unresolvable Weak means the same thing.
         assert_eq!(after_teardown.wait().unwrap_err(), ServeError::ShutDown);
     }
 
@@ -906,29 +572,32 @@ mod tests {
 
     #[test]
     fn pending_tracks_queued_plus_executing() {
-        let scheduler = BatchScheduler::new(
-            program(),
-            SchedulerConfig::default()
-                .with_max_batch_size(64)
-                .with_max_queue_delay(Duration::from_secs(30)),
-        );
-        assert_eq!(scheduler.pending(), 0);
-        let tickets: Vec<Ticket> = (0..3)
-            .map(|i| scheduler.submit(edge_request(i, i + 1, 0.5)))
-            .collect();
-        // Nothing has flushed (the timer is 30s): all three are queued.
-        assert_eq!(scheduler.pending(), 3);
-        drop(scheduler);
-        for ticket in tickets {
-            assert!(ticket.wait().is_ok());
+        for shards in SHARDS {
+            let scheduler = BatchScheduler::new(
+                program(),
+                SchedulerConfig::default()
+                    .with_max_batch_size(64)
+                    .with_max_queue_delay(Duration::from_secs(30))
+                    .with_num_shards(shards),
+            );
+            assert_eq!(scheduler.pending(), 0);
+            let tickets: Vec<Ticket> = (0..3)
+                .map(|i| scheduler.submit(edge_request(i, i + 1, 0.5)))
+                .collect();
+            // Nothing has flushed (the timer is 30s): all three are queued.
+            assert_eq!(scheduler.pending(), 3, "shards={shards}");
+            drop(scheduler);
+            for ticket in tickets {
+                assert!(ticket.wait().is_ok(), "shards={shards}");
+            }
         }
     }
 
     #[test]
     fn execution_failures_reach_every_request_in_the_batch() {
-        // A device with a absurdly small memory budget makes every run OOM —
-        // an execution error `submit` cannot screen out, so the whole batch
-        // reports it.
+        // A device with a absurdly small memory budget makes every run OOM,
+        // even after spilling — an execution error `submit` cannot screen
+        // out, so the whole batch reports it.
         let program = Arc::new(
             lobster::Lobster::builder(TC)
                 .device(lobster::Device::new(lobster::DeviceConfig {
@@ -941,15 +610,24 @@ mod tests {
                 .compile()
                 .unwrap(),
         );
-        let scheduler = BatchScheduler::new(
-            program,
-            SchedulerConfig::default()
-                .with_max_batch_size(2)
-                .with_max_queue_delay(Duration::from_secs(30)),
-        );
-        let a = scheduler.submit(edge_request(0, 1, 0.5));
-        let b = scheduler.submit(edge_request(1, 2, 0.5));
-        assert!(matches!(a.wait(), Err(ServeError::Lobster(_))));
-        assert!(matches!(b.wait(), Err(ServeError::Lobster(_))));
+        for shards in SHARDS {
+            let scheduler = BatchScheduler::new(
+                Arc::clone(&program),
+                SchedulerConfig::default()
+                    .with_max_batch_size(2)
+                    .with_max_queue_delay(Duration::from_secs(30))
+                    .with_num_shards(shards),
+            );
+            let a = scheduler.submit(edge_request(0, 1, 0.5));
+            let b = scheduler.submit(edge_request(1, 2, 0.5));
+            assert!(
+                matches!(a.wait(), Err(ServeError::Lobster(_))),
+                "shards={shards}"
+            );
+            assert!(
+                matches!(b.wait(), Err(ServeError::Lobster(_))),
+                "shards={shards}"
+            );
+        }
     }
 }

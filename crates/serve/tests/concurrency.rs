@@ -354,7 +354,7 @@ fn scheduler_agreement_holds_under_concurrent_submission() {
         SchedulerConfig::default()
             .with_max_batch_size(5)
             .with_max_queue_delay(Duration::from_millis(1))
-            .with_workers(2),
+            .with_num_shards(2),
     ));
     // Submit from 4 threads at once; collect (request index, result).
     let barrier = Arc::new(Barrier::new(4));
