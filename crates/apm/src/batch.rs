@@ -196,7 +196,7 @@ mod tests {
         db.insert("edge", &[Value::U32(1), Value::U32(1), Value::U32(2)], ());
         db.seal(&device);
         let exec = Executor::new(device, Unit::new(), RuntimeOptions::default());
-        exec.run_program(&mut db, &batched).unwrap();
+        crate::executor::run_strata(&exec, &mut db, &batched, crate::compile_stratum).unwrap();
         let rows = db.rows("path");
         assert_eq!(
             rows.len(),

@@ -14,7 +14,6 @@
 //!   "linear recursion" case that covers nearly all programs in the paper's
 //!   evaluation.
 
-use crate::config::RuntimeOptions;
 use crate::isa::{ApmProgram, DbPart, Instr, RegId};
 use lobster_ram::passes::{join_strategy, projection_sorted_prefix, JoinStrategy};
 use lobster_ram::{RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Stratum};
@@ -44,7 +43,9 @@ struct Compiler<'a> {
     static_registers: Vec<RegId>,
     next_reg: u32,
     current_first_only: bool,
-    merge_join_enabled: bool,
+    /// Compile every join to the hash path regardless of inferred sort
+    /// order (the reference side of the merge-join differential).
+    hash_only: bool,
     merge_joins: usize,
     hash_joins: usize,
 }
@@ -59,6 +60,40 @@ struct Compiled {
 }
 
 impl<'a> Compiler<'a> {
+    /// A compiler whose semi-naive expansion tracks `own_relations`.
+    fn new(ram: &'a RamProgram, own_relations: BTreeSet<String>) -> Self {
+        Compiler {
+            ram,
+            own_relations,
+            instructions: Vec::new(),
+            first_iteration_only: Vec::new(),
+            static_registers: Vec::new(),
+            next_reg: 0,
+            current_first_only: false,
+            hash_only: false,
+            merge_joins: 0,
+            hash_joins: 0,
+        }
+    }
+
+    /// Packages the emitted program as the compiled form of `stratum`.
+    fn finish(self, stratum: &Stratum, recursive: bool) -> CompiledStratum {
+        let program = ApmProgram {
+            instructions: self.instructions,
+            first_iteration_only: self.first_iteration_only,
+            register_count: self.next_reg,
+            static_registers: self.static_registers,
+            stored_relations: stratum.relations.clone(),
+        };
+        CompiledStratum {
+            program,
+            relations: stratum.relations.clone(),
+            recursive,
+            merge_joins: self.merge_joins,
+            hash_joins: self.hash_joins,
+        }
+    }
+
     fn fresh(&mut self) -> RegId {
         let reg = RegId(self.next_reg);
         self.next_reg += 1;
@@ -273,10 +308,10 @@ impl<'a> Compiler<'a> {
             (&r.columns, r.tags, &l.columns, l.tags)
         };
 
-        let strategy = if self.merge_join_enabled {
-            join_strategy(l.sorted_prefix, r.sorted_prefix, width)
-        } else {
+        let strategy = if self.hash_only {
             JoinStrategy::Hash
+        } else {
+            join_strategy(l.sorted_prefix, r.sorted_prefix, width)
         };
 
         let counts = self.fresh();
@@ -407,10 +442,40 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// Compiles a RAM stratum into an APM program with default options
-/// (merge-path joins enabled).
+/// Compiles a RAM stratum into an APM program. Each join site takes the
+/// merge path when sort-order inference proves both inputs sorted on the
+/// key, and the hash build+probe path otherwise.
+///
+/// Under `debug_assertions` the whole source program is re-validated first
+/// (`lobster_ram::passes::validate_program`), so a malformed rewrite
+/// panics at compile time with rule provenance instead of surfacing as
+/// executor misbehaviour mid-request.
 pub fn compile_stratum(stratum: &Stratum, ram: &RamProgram) -> CompiledStratum {
-    compile_stratum_with_options(stratum, ram, &RuntimeOptions::default())
+    compile_full(stratum, ram, false)
+}
+
+/// [`compile_stratum`] with every join forced onto the hash path: the
+/// reference the merge-join differential compares against.
+#[cfg(test)]
+pub(crate) fn compile_stratum_hash_only(stratum: &Stratum, ram: &RamProgram) -> CompiledStratum {
+    compile_full(stratum, ram, true)
+}
+
+fn compile_full(stratum: &Stratum, ram: &RamProgram, hash_only: bool) -> CompiledStratum {
+    #[cfg(debug_assertions)]
+    if let Err(errors) = lobster_ram::passes::validate_program(ram) {
+        let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
+        panic!(
+            "invalid RAM program reached the compiler:\n{}",
+            rendered.join("\n")
+        );
+    }
+    let mut compiler = Compiler::new(ram, stratum.relations.iter().cloned().collect());
+    compiler.hash_only = hash_only;
+    for rule in &stratum.rules {
+        compiler.compile_rule(rule, stratum.recursive);
+    }
+    compiler.finish(stratum, stratum.recursive)
 }
 
 /// Compiles a stratum for *incremental* (delta) re-evaluation after some of
@@ -449,19 +514,7 @@ pub fn compile_stratum_delta(
 ) -> CompiledStratum {
     let mut tracked: BTreeSet<String> = stratum.relations.iter().cloned().collect();
     tracked.extend(changed_inputs.iter().cloned());
-    let options = RuntimeOptions::default();
-    let mut compiler = Compiler {
-        ram,
-        own_relations: tracked,
-        instructions: Vec::new(),
-        first_iteration_only: Vec::new(),
-        static_registers: Vec::new(),
-        next_reg: 0,
-        current_first_only: false,
-        merge_join_enabled: options.merge_join,
-        merge_joins: 0,
-        hash_joins: 0,
-    };
+    let mut compiler = Compiler::new(ram, tracked);
     for rule in &stratum.rules {
         if compiler.recursive_leaf_count(&rule.expr) == 0 {
             // No leaf over a changed relation: every derivation of this rule
@@ -470,71 +523,7 @@ pub fn compile_stratum_delta(
         }
         compiler.compile_rule(rule, true);
     }
-    let program = ApmProgram {
-        instructions: compiler.instructions,
-        first_iteration_only: compiler.first_iteration_only,
-        register_count: compiler.next_reg,
-        static_registers: compiler.static_registers,
-        stored_relations: stratum.relations.clone(),
-    };
-    CompiledStratum {
-        program,
-        relations: stratum.relations.clone(),
-        recursive: true,
-        merge_joins: compiler.merge_joins,
-        hash_joins: compiler.hash_joins,
-    }
-}
-
-/// Compiles a RAM stratum into an APM program, honouring the join-strategy
-/// toggles in `options`.
-///
-/// Under `debug_assertions` the whole source program is re-validated first
-/// (`lobster_ram::passes::validate_program`), so a malformed rewrite
-/// panics at compile time with rule provenance instead of surfacing as
-/// executor misbehaviour mid-request.
-pub fn compile_stratum_with_options(
-    stratum: &Stratum,
-    ram: &RamProgram,
-    options: &RuntimeOptions,
-) -> CompiledStratum {
-    #[cfg(debug_assertions)]
-    if let Err(errors) = lobster_ram::passes::validate_program(ram) {
-        let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
-        panic!(
-            "invalid RAM program reached the compiler:\n{}",
-            rendered.join("\n")
-        );
-    }
-    let mut compiler = Compiler {
-        ram,
-        own_relations: stratum.relations.iter().cloned().collect(),
-        instructions: Vec::new(),
-        first_iteration_only: Vec::new(),
-        static_registers: Vec::new(),
-        next_reg: 0,
-        current_first_only: false,
-        merge_join_enabled: options.merge_join,
-        merge_joins: 0,
-        hash_joins: 0,
-    };
-    for rule in &stratum.rules {
-        compiler.compile_rule(rule, stratum.recursive);
-    }
-    let program = ApmProgram {
-        instructions: compiler.instructions,
-        first_iteration_only: compiler.first_iteration_only,
-        register_count: compiler.next_reg,
-        static_registers: compiler.static_registers,
-        stored_relations: stratum.relations.clone(),
-    };
-    CompiledStratum {
-        program,
-        relations: stratum.relations.clone(),
-        recursive: stratum.recursive,
-        merge_joins: compiler.merge_joins,
-        hash_joins: compiler.hash_joins,
-    }
+    compiler.finish(stratum, true)
 }
 
 #[cfg(test)]
@@ -668,8 +657,7 @@ mod tests {
         )
         .unwrap();
         let stratum = compiled.ram.strata[0].clone();
-        let options = RuntimeOptions::default().with_merge_join(false);
-        let apm = compile_stratum_with_options(&stratum, &compiled.ram, &options);
+        let apm = compile_stratum_hash_only(&stratum, &compiled.ram);
         assert_eq!(apm.merge_joins, 0);
         assert_eq!(apm.hash_joins, 1);
         assert!(apm

@@ -23,8 +23,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(FNV_OFFSET, bytes)
 }
 
-/// Options controlling the APM executor, including the optimization toggles
-/// used by the paper's ablation study (Figure 10).
+/// Options read by every execution path: the two optimization toggles of
+/// the paper's ablation study (Figure 10), the column-encoding toggle, and
+/// the safety limits.
 ///
 /// `RuntimeOptions` has structural equality and hashing, and a stable
 /// [`fingerprint`](RuntimeOptions::fingerprint), so it can key caches of
@@ -46,16 +47,6 @@ pub struct RuntimeOptions {
     /// executor aborts with an error when exceeded (used to reproduce the
     /// paper's 2-hour-timeout entries at laptop scale).
     pub timeout_ms: Option<u64>,
-    /// Compile merge-path joins (binary search over a sorted build side, no
-    /// hash index) at join sites where sort-order inference proves both
-    /// inputs sorted on the key prefix. Disabling this forces every join
-    /// through the hash build+probe path.
-    pub merge_join: bool,
-    /// Drop rules that cannot reach any declared output before compiling
-    /// (see `lobster_ram::passes::eliminate_dead_rules`). Off by default:
-    /// pruning is observable through relation sizes and execution stats, so
-    /// callers opt in; the lint report warns about dead rules otherwise.
-    pub eliminate_dead_rules: bool,
     /// Store relations in narrow, dictionary-encoded packed columns
     /// (`lobster_ram::RelationLayout`): symbol columns narrow to the
     /// database dictionary width, booleans to one byte, and adjacent narrow
@@ -75,8 +66,6 @@ impl Default for RuntimeOptions {
             buffer_reuse: true,
             max_iterations: 1_000_000,
             timeout_ms: None,
-            merge_join: true,
-            eliminate_dead_rules: false,
             encode_columns: true,
         }
     }
@@ -88,12 +77,12 @@ impl RuntimeOptions {
         Self::default()
     }
 
-    /// All optimizations disabled (the paper's "None").
+    /// The paper's "None": static registers and buffer reuse off. Column
+    /// encoding and the safety limits keep their defaults.
     pub fn unoptimized() -> Self {
         RuntimeOptions {
             static_registers: false,
             buffer_reuse: false,
-            merge_join: false,
             ..Self::default()
         }
     }
@@ -116,18 +105,6 @@ impl RuntimeOptions {
         self
     }
 
-    /// Builder-style setter for [`RuntimeOptions::merge_join`].
-    pub fn with_merge_join(mut self, enabled: bool) -> Self {
-        self.merge_join = enabled;
-        self
-    }
-
-    /// Builder-style setter for [`RuntimeOptions::eliminate_dead_rules`].
-    pub fn with_eliminate_dead_rules(mut self, enabled: bool) -> Self {
-        self.eliminate_dead_rules = enabled;
-        self
-    }
-
     /// Builder-style setter for [`RuntimeOptions::encode_columns`].
     pub fn with_encode_columns(mut self, enabled: bool) -> Self {
         self.encode_columns = enabled;
@@ -147,8 +124,6 @@ impl RuntimeOptions {
         // Distinguish `None` from `Some(0)`.
         hash = mix(hash, u64::from(self.timeout_ms.is_some()));
         hash = mix(hash, self.timeout_ms.unwrap_or(0));
-        hash = mix(hash, u64::from(self.merge_join));
-        hash = mix(hash, u64::from(self.eliminate_dead_rules));
         hash = mix(hash, u64::from(self.encode_columns));
         hash
     }
@@ -163,8 +138,6 @@ mod tests {
         let opts = RuntimeOptions::default();
         assert!(opts.static_registers);
         assert!(opts.buffer_reuse);
-        assert!(opts.merge_join);
-        assert!(!opts.eliminate_dead_rules);
         assert!(opts.encode_columns);
     }
 
@@ -173,7 +146,12 @@ mod tests {
         let opts = RuntimeOptions::unoptimized();
         assert!(!opts.static_registers);
         assert!(!opts.buffer_reuse);
-        assert!(!opts.merge_join);
+        assert_eq!(
+            opts,
+            RuntimeOptions::default()
+                .with_static_registers(false)
+                .with_buffer_reuse(false)
+        );
     }
 
     #[test]
@@ -193,14 +171,6 @@ mod tests {
         assert_ne!(
             base.fingerprint(),
             base.clone().with_timeout_ms(Some(0)).fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            base.clone().with_merge_join(false).fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            base.clone().with_eliminate_dead_rules(true).fingerprint()
         );
         assert_ne!(
             base.fingerprint(),

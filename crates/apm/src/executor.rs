@@ -17,14 +17,13 @@
 //! * a configurable device memory budget and wall-clock timeout, used to
 //!   reproduce the OOM and timeout entries of the paper's evaluation.
 
-use crate::compiler::{compile_stratum_with_options, CompiledStratum};
+use crate::compiler::CompiledStratum;
 use crate::config::RuntimeOptions;
 use crate::database::{Database, SortedTable};
 use crate::isa::{DbPart, Instr, RegId};
 use lobster_gpu::kernels::PackLane;
 use lobster_gpu::{kernels, Column, Device, DeviceError, HashIndex, ProbePartition};
 use lobster_provenance::Provenance;
-use lobster_ram::RamProgram;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -154,34 +153,6 @@ impl<P: Provenance> Executor<P> {
         &self.options
     }
 
-    /// Compiles and runs every stratum of a RAM program against the database.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on device OOM, timeout, or a hit iteration
-    /// cap.
-    pub fn run_program(
-        &self,
-        db: &mut Database<P>,
-        ram: &RamProgram,
-    ) -> Result<ExecutionStats, ExecError> {
-        let mut total = ExecutionStats::default();
-        let start = Instant::now();
-        let pruned;
-        let ram = if self.options.eliminate_dead_rules {
-            pruned = lobster_ram::passes::eliminate_dead_rules(ram);
-            &pruned
-        } else {
-            ram
-        };
-        for stratum in &ram.strata {
-            let compiled = compile_stratum_with_options(stratum, ram, &self.options);
-            let stats = self.run_stratum_with_deadline(db, &compiled, start)?;
-            total.merge(&stats);
-        }
-        Ok(total)
-    }
-
     /// Runs one compiled stratum to its fix point.
     ///
     /// # Errors
@@ -193,7 +164,7 @@ impl<P: Provenance> Executor<P> {
         db: &mut Database<P>,
         compiled: &CompiledStratum,
     ) -> Result<ExecutionStats, ExecError> {
-        self.run_stratum_inner(db, compiled, Instant::now(), true)
+        self.run_stratum_inner(db, compiled, true)
     }
 
     /// Runs one compiled stratum *without* the semi-naive preamble: the
@@ -213,25 +184,16 @@ impl<P: Provenance> Executor<P> {
         db: &mut Database<P>,
         compiled: &CompiledStratum,
     ) -> Result<ExecutionStats, ExecError> {
-        self.run_stratum_inner(db, compiled, Instant::now(), false)
-    }
-
-    fn run_stratum_with_deadline(
-        &self,
-        db: &mut Database<P>,
-        compiled: &CompiledStratum,
-        start: Instant,
-    ) -> Result<ExecutionStats, ExecError> {
-        self.run_stratum_inner(db, compiled, start, true)
+        self.run_stratum_inner(db, compiled, false)
     }
 
     fn run_stratum_inner(
         &self,
         db: &mut Database<P>,
         compiled: &CompiledStratum,
-        start: Instant,
         preamble: bool,
     ) -> Result<ExecutionStats, ExecError> {
+        let start = Instant::now();
         let kernels_before = self.device.stats().kernel_launches;
         let mut stats = ExecutionStats {
             strata: 1,
@@ -946,29 +908,62 @@ impl<P: Provenance> Executor<P> {
     }
 }
 
+/// Compiles each stratum of `ram` with `compile` and runs it to its fix
+/// point, in order — the whole-program loop the crate's tests drive.
+#[cfg(test)]
+pub(crate) fn run_strata<P: Provenance>(
+    exec: &Executor<P>,
+    db: &mut Database<P>,
+    ram: &lobster_ram::RamProgram,
+    compile: fn(&lobster_ram::Stratum, &lobster_ram::RamProgram) -> CompiledStratum,
+) -> Result<ExecutionStats, ExecError> {
+    let mut total = ExecutionStats::default();
+    for stratum in &ram.strata {
+        total.merge(&exec.run_stratum(db, &compile(stratum, ram))?);
+    }
+    Ok(total)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiler::compile_stratum;
     use lobster_datalog::parse;
     use lobster_gpu::DeviceConfig;
     use lobster_provenance::{AddMultProb, InputFactId, MaxMinProb, Unit};
     use lobster_ram::Value;
 
-    fn run_tc(edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
+    /// Runs transitive closure over `edges` on `device`, returning the
+    /// run's outcome and the database it ran against.
+    fn exec_tc(
+        edges: impl IntoIterator<Item = (u32, u32)>,
+        device: Device,
+        options: RuntimeOptions,
+    ) -> (Result<ExecutionStats, ExecError>, Database<Unit>) {
         let compiled = parse(
             "type edge(x: u32, y: u32)
              rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
              query path",
         )
         .unwrap();
-        let device = Device::sequential();
         let mut db = Database::new(compiled.ram.schemas.clone(), Unit::new());
         for (a, b) in edges {
-            db.insert("edge", &[Value::U32(*a), Value::U32(*b)], ());
+            db.insert("edge", &[Value::U32(a), Value::U32(b)], ());
         }
         db.seal(&device);
-        let exec = Executor::new(device, Unit::new(), RuntimeOptions::default());
-        exec.run_program(&mut db, &compiled.ram).unwrap();
+        let exec = Executor::new(device, Unit::new(), options);
+        let outcome = run_strata(&exec, &mut db, &compiled.ram, compile_stratum);
+        (outcome, db)
+    }
+
+    /// The chain `0 → 1 → … → n`.
+    fn chain(n: u32) -> impl Iterator<Item = (u32, u32)> {
+        (0..n).map(|i| (i, i + 1))
+    }
+
+    fn run_tc(edges: &[(u32, u32)], options: RuntimeOptions) -> Vec<(u32, u32)> {
+        let (outcome, db) = exec_tc(edges.iter().copied(), Device::sequential(), options);
+        outcome.unwrap();
         let mut rows: Vec<(u32, u32)> = db
             .rows("path")
             .into_iter()
@@ -980,13 +975,13 @@ mod tests {
 
     #[test]
     fn transitive_closure_of_a_chain() {
-        let rows = run_tc(&[(0, 1), (1, 2), (2, 3)]);
+        let rows = run_tc(&[(0, 1), (1, 2), (2, 3)], RuntimeOptions::default());
         assert_eq!(rows, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
     }
 
     #[test]
     fn transitive_closure_of_a_cycle_terminates() {
-        let rows = run_tc(&[(0, 1), (1, 2), (2, 0)]);
+        let rows = run_tc(&[(0, 1), (1, 2), (2, 0)], RuntimeOptions::default());
         // Every ordered pair over {0,1,2} is reachable, including self-loops.
         assert_eq!(rows.len(), 9);
     }
@@ -1006,7 +1001,7 @@ mod tests {
         db.insert("edge", &[Value::U32(1), Value::U32(2)], 0.5);
         db.seal(&device);
         let exec = Executor::new(device, prov, RuntimeOptions::default());
-        exec.run_program(&mut db, &compiled.ram).unwrap();
+        run_strata(&exec, &mut db, &compiled.ram, compile_stratum).unwrap();
         let rows = db.rows("path");
         let p02 = rows
             .iter()
@@ -1046,7 +1041,7 @@ mod tests {
         );
         db.seal(&device);
         let exec = Executor::new(device, prov, RuntimeOptions::default());
-        exec.run_program(&mut db, &compiled.ram).unwrap();
+        run_strata(&exec, &mut db, &compiled.ram, compile_stratum).unwrap();
         let rows = db.rows("connected");
         assert_eq!(rows.len(), 1);
         assert!(rows[0].1 > 0.0);
@@ -1055,33 +1050,13 @@ mod tests {
     #[test]
     fn optimizations_do_not_change_results() {
         let edges: Vec<(u32, u32)> = (0..40).map(|i| (i, i + 1)).collect();
-        let reference = run_tc(&edges);
+        let reference = run_tc(&edges, RuntimeOptions::default());
         for options in [
             RuntimeOptions::unoptimized(),
             RuntimeOptions::default().with_static_registers(false),
             RuntimeOptions::default().with_buffer_reuse(false),
         ] {
-            let compiled = parse(
-                "type edge(x: u32, y: u32)
-                 rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
-                 query path",
-            )
-            .unwrap();
-            let device = Device::sequential();
-            let mut db = Database::new(compiled.ram.schemas.clone(), Unit::new());
-            for (a, b) in &edges {
-                db.insert("edge", &[Value::U32(*a), Value::U32(*b)], ());
-            }
-            db.seal(&device);
-            let exec = Executor::new(device, Unit::new(), options);
-            exec.run_program(&mut db, &compiled.ram).unwrap();
-            let mut rows: Vec<(u32, u32)> = db
-                .rows("path")
-                .into_iter()
-                .map(|(t, _)| (t[0].as_u32().unwrap(), t[1].as_u32().unwrap()))
-                .collect();
-            rows.sort_unstable();
-            assert_eq!(rows, reference);
+            assert_eq!(run_tc(&edges, options), reference);
         }
     }
 
@@ -1093,23 +1068,9 @@ mod tests {
         // recycled buffers, so the *fresh* allocation count cannot depend on
         // the iteration count.
         let fresh = |n: u32, reuse: bool| {
-            let compiled = parse(
-                "type edge(x: u32, y: u32)
-                 rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))",
-            )
-            .unwrap();
             let device = Device::sequential();
-            let mut db = Database::new(compiled.ram.schemas.clone(), Unit::new());
-            for i in 0..n {
-                db.insert("edge", &[Value::U32(i), Value::U32(i + 1)], ());
-            }
-            db.seal(&device);
-            let exec = Executor::new(
-                device.clone(),
-                Unit::new(),
-                RuntimeOptions::default().with_buffer_reuse(reuse),
-            );
-            let stats = exec.run_program(&mut db, &compiled.ram).unwrap();
+            let options = RuntimeOptions::default().with_buffer_reuse(reuse);
+            let stats = exec_tc(chain(n), device.clone(), options).0.unwrap();
             assert!(stats.iterations > n as usize / 2, "fix-point actually ran");
             device.arena().stats().fresh_columns
         };
@@ -1127,22 +1088,13 @@ mod tests {
 
     #[test]
     fn memory_budget_produces_oom_error() {
-        let compiled = parse(
-            "type edge(x: u32, y: u32)
-             rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))",
-        )
-        .unwrap();
         let device = Device::new(DeviceConfig {
             memory_limit: Some(2_000),
             ..DeviceConfig::default()
         });
-        let mut db = Database::new(compiled.ram.schemas.clone(), Unit::new());
-        for i in 0..200u32 {
-            db.insert("edge", &[Value::U32(i), Value::U32(i + 1)], ());
-        }
-        db.seal(&device);
-        let exec = Executor::new(device, Unit::new(), RuntimeOptions::default());
-        let err = exec.run_program(&mut db, &compiled.ram).unwrap_err();
+        let err = exec_tc(chain(200), device, RuntimeOptions::default())
+            .0
+            .unwrap_err();
         assert!(matches!(
             err,
             ExecError::Device(DeviceError::OutOfMemory { .. })
@@ -1151,23 +1103,10 @@ mod tests {
 
     #[test]
     fn timeout_is_reported() {
-        let compiled = parse(
-            "type edge(x: u32, y: u32)
-             rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))",
-        )
-        .unwrap();
-        let device = Device::sequential();
-        let mut db = Database::new(compiled.ram.schemas.clone(), Unit::new());
-        for i in 0..3000u32 {
-            db.insert("edge", &[Value::U32(i), Value::U32(i + 1)], ());
-        }
-        db.seal(&device);
-        let exec = Executor::new(
-            device,
-            Unit::new(),
-            RuntimeOptions::default().with_timeout_ms(Some(0)),
-        );
-        let err = exec.run_program(&mut db, &compiled.ram).unwrap_err();
+        let options = RuntimeOptions::default().with_timeout_ms(Some(0));
+        let err = exec_tc(chain(3000), Device::sequential(), options)
+            .0
+            .unwrap_err();
         assert!(matches!(err, ExecError::Timeout { .. }));
     }
 
@@ -1215,8 +1154,8 @@ mod tests {
                 db.seal(&device);
             }
             let exec = Executor::new(device, prov, RuntimeOptions::default());
-            exec.run_program(&mut wide, &compiled.ram).unwrap();
-            exec.run_program(&mut packed, &compiled.ram).unwrap();
+            run_strata(&exec, &mut wide, &compiled.ram, compile_stratum).unwrap();
+            run_strata(&exec, &mut packed, &compiled.ram, compile_stratum).unwrap();
             for rel in ["edge", "path", "from_root"] {
                 let w = wide.rows(rel);
                 let p = packed.rows(rel);
@@ -1239,19 +1178,9 @@ mod tests {
 
     #[test]
     fn stats_report_iterations_and_kernels() {
-        let compiled = parse(
-            "type edge(x: u32, y: u32)
-             rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))",
-        )
-        .unwrap();
-        let device = Device::sequential();
-        let mut db = Database::new(compiled.ram.schemas.clone(), Unit::new());
-        for i in 0..10u32 {
-            db.insert("edge", &[Value::U32(i), Value::U32(i + 1)], ());
-        }
-        db.seal(&device);
-        let exec = Executor::new(device, Unit::new(), RuntimeOptions::default());
-        let stats = exec.run_program(&mut db, &compiled.ram).unwrap();
+        let stats = exec_tc(chain(10), Device::sequential(), RuntimeOptions::default())
+            .0
+            .unwrap();
         // A chain of 11 nodes needs ~10 iterations to close.
         assert!(stats.iterations >= 9, "iterations = {}", stats.iterations);
         assert!(stats.kernel_launches > 0);

@@ -6,14 +6,22 @@
 //! contains:
 //!
 //! * the APM instruction set ([`Instr`], mirroring Table 1 of the paper),
-//! * the RAM → APM compiler ([`compile_stratum`], mirroring the translation
+//! * the RAM → APM compiler: [`compile_stratum`] mirrors the translation
 //!   rules of Appendix A, including the semi-naive expansion of joins over
-//!   the stable / recent / delta partitions of the database),
+//!   the stable / recent / delta partitions of the database, and picks the
+//!   merge or hash path per join site from inferred sort order;
+//!   [`compile_stratum_delta`] widens the expansion for incremental
+//!   re-evaluation. The compiler takes no options;
+//! * the batch transform ([`batch_transform`], Section 4.3) that prepends
+//!   a sample-id column so many samples share one fix point;
 //! * the tagged, columnar [`Database`] that holds every relation on the
-//!   (simulated) device, and
-//! * the [`Executor`] that runs APM programs to a fix point (Algorithm 1)
-//!   with the optimizations of Section 4: arena allocation & buffer reuse,
-//!   hash-index reuse via static registers, and batched evaluation.
+//!   (simulated) device, with [`refresh_database`] for incremental
+//!   maintenance;
+//! * the [`Executor`] that runs one compiled stratum at a time to its fix
+//!   point (Algorithm 1, [`Executor::run_stratum`]; callers loop over the
+//!   strata) with the optimizations of Section 4: arena allocation & buffer
+//!   reuse and hash-index reuse via static registers, configured by
+//!   [`RuntimeOptions`].
 //!
 //! The executor is generic over the provenance semiring, so the same compiled
 //! program supports discrete, probabilistic, and differentiable reasoning.
@@ -28,11 +36,11 @@ mod database;
 mod executor;
 mod incremental;
 mod isa;
+#[cfg(test)]
+mod merge_join_differential;
 
 pub use batch::batch_transform;
-pub use compiler::{
-    compile_stratum, compile_stratum_delta, compile_stratum_with_options, CompiledStratum,
-};
+pub use compiler::{compile_stratum, compile_stratum_delta, CompiledStratum};
 pub use config::{fnv1a, fnv1a_extend, RuntimeOptions};
 pub use database::{Database, EncodingSpec, SortedTable};
 pub use executor::{ExecError, ExecutionStats, Executor};

@@ -1,7 +1,6 @@
 //! The FVLog stand-in: a GPU columnar engine without APM-level optimizations.
 
-use crate::tuple::BaselineError;
-use lobster_apm::{Database, ExecError, ExecutionStats, Executor, RuntimeOptions};
+use lobster_apm::{compile_stratum, Database, ExecError, ExecutionStats, Executor, RuntimeOptions};
 use lobster_gpu::Device;
 use lobster_provenance::Unit;
 use lobster_ram::RamProgram;
@@ -11,14 +10,14 @@ use std::collections::BTreeMap;
 pub type FvlogDatabase = BTreeMap<String, Vec<Vec<u64>>>;
 
 /// A discrete-only, GPU (simulated) columnar Datalog engine standing in for
-/// FVLog. It shares Lobster's device and kernels but, like FVLog, has no
-/// intermediate representation to optimize over: hash indices are rebuilt on
-/// every fix-point iteration, per-iteration buffers are not reused, and no
-/// provenance is supported.
+/// FVLog. It shares Lobster's device, kernels and stratum compiler — join
+/// selection included, so sort-order inference still picks merge joins where
+/// it can — but runs without the APM-level optimizations: hash indices are
+/// rebuilt on every fix-point iteration (no static registers), per-iteration
+/// buffers are not reused, and no provenance is supported.
 #[derive(Debug, Clone)]
 pub struct FvlogEngine {
     device: Device,
-    options: RuntimeOptions,
 }
 
 impl Default for FvlogEngine {
@@ -30,16 +29,7 @@ impl Default for FvlogEngine {
 impl FvlogEngine {
     /// Creates the engine on the given device.
     pub fn new(device: Device) -> Self {
-        FvlogEngine {
-            device,
-            options: RuntimeOptions::unoptimized(),
-        }
-    }
-
-    /// Sets the wall-clock budget in milliseconds.
-    pub fn with_timeout_ms(mut self, timeout: Option<u64>) -> Self {
-        self.options = self.options.with_timeout_ms(timeout);
-        self
+        FvlogEngine { device }
     }
 
     /// The device this engine runs on.
@@ -52,22 +42,26 @@ impl FvlogEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`BaselineError::Timeout`] on timeout and propagates device
-    /// out-of-memory failures as [`ExecError`] wrapped in the `Err` variant.
+    /// Returns the [`ExecError`] of a failed stratum (device out of memory).
     pub fn run(
         &self,
         ram: &RamProgram,
         facts: &[(String, Vec<u64>)],
-    ) -> Result<(FvlogDatabase, ExecutionStats), FvlogError> {
+    ) -> Result<(FvlogDatabase, ExecutionStats), ExecError> {
         let mut db = Database::new(ram.schemas.clone(), Unit::new());
         for (rel, row) in facts {
             db.insert_encoded(rel, row, ());
         }
         db.seal(&self.device);
-        let executor = Executor::new(self.device.clone(), Unit::new(), self.options.clone());
-        let stats = executor
-            .run_program(&mut db, ram)
-            .map_err(FvlogError::Execution)?;
+        let executor = Executor::new(
+            self.device.clone(),
+            Unit::new(),
+            RuntimeOptions::unoptimized(),
+        );
+        let mut stats = ExecutionStats::default();
+        for stratum in &ram.strata {
+            stats.merge(&executor.run_stratum(&mut db, &compile_stratum(stratum, ram))?);
+        }
         let mut out = BTreeMap::new();
         for rel in ram.schemas.keys() {
             let rows: Vec<Vec<u64>> = db
@@ -80,26 +74,6 @@ impl FvlogEngine {
         Ok((out, stats))
     }
 }
-
-/// Errors produced by the FVLog stand-in.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FvlogError {
-    /// Execution failed (OOM or timeout on the device).
-    Execution(ExecError),
-    /// A baseline-level failure.
-    Baseline(BaselineError),
-}
-
-impl std::fmt::Display for FvlogError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FvlogError::Execution(e) => write!(f, "{e}"),
-            FvlogError::Baseline(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for FvlogError {}
 
 #[cfg(test)]
 mod tests {
@@ -136,7 +110,7 @@ mod tests {
         let engine = FvlogEngine::new(device);
         assert!(matches!(
             engine.run(&compiled.ram, &facts),
-            Err(FvlogError::Execution(ExecError::Device(_)))
+            Err(ExecError::Device(_))
         ));
     }
 
@@ -165,7 +139,10 @@ mod tests {
             Unit::new(),
             RuntimeOptions::optimized(),
         );
-        exec.run_program(&mut db, &compiled.ram).unwrap();
+        for stratum in &compiled.ram.strata {
+            exec.run_stratum(&mut db, &compile_stratum(stratum, &compiled.ram))
+                .unwrap();
+        }
         let lobster_kernels = lobster_device.stats().kernel_launches;
         assert!(
             lobster_kernels < fvlog_kernels,

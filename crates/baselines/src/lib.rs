@@ -13,9 +13,9 @@
 //! * [`ProblogEngine`] — exact probabilistic inference: full DNF proof
 //!   enumeration followed by exact weighted model counting, reproducing
 //!   ProbLog's exponential behaviour (and its timeouts).
-//! * [`FvlogEngine`] — a GPU (simulated) columnar engine *without* Lobster's
-//!   APM-level optimizations (no static-register index reuse, no buffer
-//!   reuse, per-stratum transfers), standing in for FVLog.
+//! * [`FvlogEngine`] — a GPU (simulated) columnar engine standing in for
+//!   FVLog. It shares Lobster's stratum compiler, join selection included,
+//!   but lacks static registers, buffer reuse and provenance.
 //!
 //! All engines consume the same RAM programs produced by the
 //! `lobster-datalog` front-end, so every system under test runs the *same*
@@ -32,7 +32,7 @@ mod souffle;
 mod tuple;
 
 pub use dnf::{DnfProofs, DnfTag};
-pub use fvlog::{FvlogDatabase, FvlogEngine, FvlogError};
+pub use fvlog::{FvlogDatabase, FvlogEngine};
 pub use problog::{ProblogDatabase, ProblogEngine};
 pub use scallop::{ScallopEngine, TaggedFact};
 pub use souffle::SouffleEngine;

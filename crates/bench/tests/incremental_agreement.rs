@@ -10,9 +10,10 @@
 //! replayed.
 
 use lobster::{
-    Device, DeviceConfig, DynProgram, DynSession, FactSet, Lobster, ProvenanceKind, RuntimeOptions,
-    Value,
+    Device, DeviceConfig, DynProgram, DynSession, FactSet, Lobster, LobsterError, ProvenanceKind,
+    RuntimeOptions, Value,
 };
+use lobster_apm::ExecError;
 use lobster_provenance::{AddMultProb, InputFactId, Unit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -309,6 +310,34 @@ fn reset_clears_materialized_state() {
     );
 }
 
+/// An `edge` chain `from → from + 1 → … → to`, every edge at probability 0.9.
+fn edge_chain(from: u32, to: u32) -> FactSet {
+    let mut facts = FactSet::new();
+    for i in from..to {
+        facts.add("edge", &[Value::U32(i), Value::U32(i + 1)], Some(0.9));
+    }
+    facts
+}
+
+/// A retry after a failed refresh must agree with a from-scratch run on the
+/// same session: the same `Ok`, or the same `Err`.
+fn assert_retry_agrees_with_scratch(
+    retry: &Result<lobster::RunResult, LobsterError>,
+    scratch: &Result<lobster::RunResult, LobsterError>,
+    relation: &str,
+    what: &str,
+) {
+    match (retry, scratch) {
+        (Ok(got), Ok(want)) => assert_identical(got, want, what),
+        (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string(), "{what}"),
+        _ => panic!(
+            "{what}: retry and from-scratch disagree: retry {:?}, scratch {:?}",
+            retry.as_ref().map(|r| r.len(relation)),
+            scratch.as_ref().map(|r| r.len(relation)),
+        ),
+    }
+}
+
 #[test]
 fn a_failed_refresh_leaves_no_state_a_retry_could_trust() {
     // Two strata (`succ`, then the recursive `reach`) under a tight
@@ -328,30 +357,52 @@ fn a_failed_refresh_leaves_no_state_a_retry_could_trust() {
         })
         .compile_typed::<AddMultProb>()
         .unwrap();
-    let chain = |from: u32, to: u32| {
-        let mut facts = FactSet::new();
-        for i in from..to {
-            facts.add("edge", &[Value::U32(i), Value::U32(i + 1)], Some(0.9));
-        }
-        facts
-    };
     let mut session = program.session();
-    session.insert_facts(&chain(0, 6)).unwrap();
+    session.insert_facts(&edge_chain(0, 6)).unwrap();
     assert!(session.run_incremental().is_ok(), "6 edges fit the cap");
-    session.insert_facts(&chain(6, 26)).unwrap();
+    session.insert_facts(&edge_chain(6, 26)).unwrap();
     assert!(
         session.run_incremental().is_err(),
         "26 edges exceed the cap"
     );
     let retry = session.run_incremental();
     let scratch = session.run();
-    match (&retry, &scratch) {
-        (Ok(got), Ok(want)) => assert_identical(got, want, "retry after a failed refresh"),
-        (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
-        _ => panic!(
-            "retry and from-scratch disagree: retry {:?}, scratch {:?}",
-            retry.as_ref().map(|r| r.len("reach")),
-            scratch.as_ref().map(|r| r.len("reach")),
-        ),
+    assert_retry_agrees_with_scratch(&retry, &scratch, "reach", "retry after a failed refresh");
+}
+
+#[test]
+fn a_refresh_that_runs_out_of_device_memory_leaves_no_state_a_retry_could_trust() {
+    // A 6-edge chain materializes within an 8 KiB device budget, but 54 more
+    // edges run the refresh out of memory. Measured at parallelism 1 and 4:
+    // TC materializes `Ok(21)` and OOMs on the refresh for budgets of 1 to
+    // 12 KiB under `Unit` (the tuple-delta path) and 1 to 24 KiB under
+    // `AddMultProb` (the re-derive path); from 16 KiB and 32 KiB
+    // respectively every run returns `Ok(1830)`.
+    for kind in [ProvenanceKind::Unit, ProvenanceKind::AddMultProb] {
+        for parallelism in PARALLELISM {
+            let what = format!("{kind:?} at parallelism {parallelism}");
+            let program = Lobster::builder(TC)
+                .device(Device::new(DeviceConfig {
+                    parallelism,
+                    memory_limit: Some(8 * 1024),
+                    ..DeviceConfig::default()
+                }))
+                .provenance(kind)
+                .compile()
+                .unwrap();
+            let mut session = program.session();
+            session.insert_facts(&edge_chain(0, 6)).unwrap();
+            let materialized = session.run_incremental().map(|r| r.len("path"));
+            assert_eq!(materialized.ok(), Some(21), "{what}: 6 edges fit");
+            session.insert_facts(&edge_chain(6, 60)).unwrap();
+            let refresh = session.run_incremental().map(|r| r.len("path"));
+            assert!(
+                matches!(refresh, Err(LobsterError::Execution(ExecError::Device(_)))),
+                "{what}: 60 edges must run the refresh out of memory, got {refresh:?}"
+            );
+            let retry = session.run_incremental();
+            let scratch = session.run();
+            assert_retry_agrees_with_scratch(&retry, &scratch, "path", &what);
+        }
     }
 }

@@ -567,4 +567,61 @@ mod tests {
             Err(LobsterError::Frontend(_))
         ));
     }
+
+    #[test]
+    fn every_runtime_option_has_an_observable_effect() {
+        use lobster_apm::ExecError;
+
+        // Naming every field makes a new option fail to compile here until
+        // it gets a row below: an option no execution path reads cannot
+        // pass this test.
+        let RuntimeOptions {
+            static_registers: _,
+            buffer_reuse: _,
+            encode_columns: _,
+            max_iterations: _,
+            timeout_ms: _,
+        } = RuntimeOptions::default();
+
+        // A 40-edge chain: a fix point of about 40 iterations.
+        let run = |options: RuntimeOptions| {
+            let program = Lobster::builder(TC)
+                .device(Device::sequential())
+                .options(options)
+                .compile_typed::<Unit>()
+                .unwrap();
+            let mut session = program.session();
+            for i in 0..40u32 {
+                let edge = [Value::U32(i), Value::U32(i + 1)];
+                session.add_fact("edge", &edge, None).unwrap();
+            }
+            session.run()
+        };
+        let launches = |options| run(options).unwrap().stats.kernel_launches;
+        let base = RuntimeOptions::default;
+        let default_launches = launches(base());
+        // Toggles: each non-default value changes the kernel-launch count.
+        for (name, options) in [
+            ("static_registers", base().with_static_registers(false)),
+            ("buffer_reuse", base().with_buffer_reuse(false)),
+            ("encode_columns", base().with_encode_columns(false)),
+        ] {
+            assert_ne!(launches(options), default_launches, "`{name}` off");
+        }
+        // Limits: each one stops the fix point with its error.
+        let capped = RuntimeOptions {
+            max_iterations: 5,
+            ..base()
+        };
+        assert!(matches!(
+            run(capped),
+            Err(LobsterError::Execution(ExecError::IterationLimit {
+                limit: 5
+            }))
+        ));
+        assert!(matches!(
+            run(base().with_timeout_ms(Some(0))),
+            Err(LobsterError::Execution(ExecError::Timeout { .. }))
+        ));
+    }
 }

@@ -27,8 +27,8 @@
 //! * [`passes::expr_sorted_prefix`] / [`passes::join_strategy`] — sort-order
 //!   inference yielding per-join [`passes::JoinStrategy`] hints (merge-path
 //!   vs hash build+probe);
-//! * [`passes::live_relations`] / [`passes::eliminate_dead_rules`] — output
-//!   reachability and dead-rule pruning;
+//! * [`passes::live_relations`] / [`passes::dead_rules`] — output
+//!   reachability and dead-rule detection;
 //! * [`passes::CostModel`] — static per-relation weights refining the
 //!   fact-count costs used by batch planners;
 //! * [`passes::lint_program`] — the combined diagnostics report

@@ -1,10 +1,10 @@
-//! Relation liveness and dead-rule elimination.
+//! Relation liveness and dead-rule detection.
 //!
 //! A relation is *live* when it can contribute tuples to one of the
 //! program's declared outputs: every output relation is live, and the
 //! bodies of rules deriving a live relation make their referenced relations
 //! live in turn. Rules whose target is not live can never influence a
-//! queried result — they are *dead* and safe to drop.
+//! queried result — they are *dead*, which the `dead-rule` lint reports.
 //!
 //! Programs that declare no outputs are treated as "everything is
 //! observable" (the session API allows querying any relation), so nothing
@@ -59,29 +59,6 @@ pub fn dead_rules(ram: &RamProgram) -> Vec<RuleRef> {
         }
     }
     dead
-}
-
-/// Returns a copy of the program with every dead rule removed. Strata left
-/// with no rules are dropped entirely, and each surviving stratum's updated
-/// relation list is pruned to the relations its remaining rules still
-/// derive. Schemas and outputs are untouched — dead relations stay
-/// declared (and empty), so query shapes don't change.
-pub fn eliminate_dead_rules(ram: &RamProgram) -> RamProgram {
-    let live = live_relations(ram);
-    let mut pruned = ram.clone();
-    for stratum in &mut pruned.strata {
-        stratum.rules.retain(|rule| live.contains(&rule.target));
-        let derived: BTreeSet<&str> = stratum
-            .rules
-            .iter()
-            .map(|rule| rule.target.as_str())
-            .collect();
-        stratum
-            .relations
-            .retain(|relation| derived.contains(relation.as_str()));
-    }
-    pruned.strata.retain(|stratum| !stratum.rules.is_empty());
-    pruned
 }
 
 #[cfg(test)]
@@ -150,25 +127,5 @@ mod tests {
         assert_eq!(dead[0].stratum, 1);
         assert_eq!(dead[0].rule, 0);
         assert_eq!(dead[0].target, "scratch");
-    }
-
-    #[test]
-    fn elimination_drops_rules_strata_and_relation_entries() {
-        let ram = program_with_dead_branch();
-        let pruned = eliminate_dead_rules(&ram);
-        assert_eq!(pruned.strata.len(), 1);
-        assert_eq!(pruned.strata[0].relations, vec!["path".to_string()]);
-        // Schemas and outputs are preserved so query shapes don't change.
-        assert_eq!(pruned.schemas.len(), ram.schemas.len());
-        assert_eq!(pruned.outputs, ram.outputs);
-    }
-
-    #[test]
-    fn elimination_is_identity_on_fully_live_programs() {
-        let mut ram = program_with_dead_branch();
-        ram.outputs.push("scratch".into());
-        let pruned = eliminate_dead_rules(&ram);
-        assert_eq!(pruned.strata.len(), ram.strata.len());
-        assert_eq!(dead_rules(&pruned).len(), 0);
     }
 }

@@ -14,10 +14,10 @@
 //!   inputs arrive sorted on the join prefix, yielding a per-join
 //!   [`JoinStrategy`] hint the executor uses to pick a merge-path join over
 //!   a hash build+probe.
-//! * [`live_relations`] / [`eliminate_dead_rules`] — relation liveness:
+//! * [`live_relations`] / [`dead_rules`] — relation liveness:
 //!   reachability from the program's output relations, identifying rules
-//!   that can never contribute to any queried result (prunable behind a
-//!   runtime option).
+//!   that can never contribute to any queried result (reported by the
+//!   `dead-rule` lint).
 //! * [`CostModel`] — a static cost model: per-relation and per-stratum
 //!   weights (join participation, recursion, arity) that refine the
 //!   fact-count costs used by the sharded batch planner.
@@ -33,7 +33,7 @@ mod validate;
 
 pub use cost::{CostModel, StratumCost};
 pub use lint::{lint_program, Diagnostic, Severity};
-pub use liveness::{dead_rules, eliminate_dead_rules, live_relations};
+pub use liveness::{dead_rules, live_relations};
 pub use sort_order::{
     expr_sorted_prefix, join_strategy, merge_eligible_joins, projection_sorted_prefix, JoinStrategy,
 };
