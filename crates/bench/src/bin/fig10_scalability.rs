@@ -32,7 +32,7 @@ fn run_sweep(
         "\n--- {task}: symbolic-only runtime, speedup over Scallop per optimization level ---"
     );
     println!(
-        "{:<6} {:>12} {:>10} {:>10} {:>10} {:>10}",
+        "{:<6} {:>20} {:>10} {:>10} {:>10} {:>10}",
         "size", "scallop (s)", "None", "Stratum", "Alloc", "Both"
     );
     let mut rng = StdRng::seed_from_u64(10);
@@ -52,7 +52,7 @@ fn run_sweep(
         let registry = InputFactRegistry::new();
         let prov = DiffTop1Proof::new(registry);
         let scallop = run_scallop(program, prov.clone(), &scallop_facts(&prov, &facts), None);
-        let mut row = format!("{:<6} {:>12}", size, scallop.cell());
+        let mut row = format!("{:<6} {:>20}", size, scallop.cell());
         for compiled in &programs {
             let (outcome, _) = run_lobster(compiled, &facts);
             let speedup = match (scallop.seconds(), outcome.seconds()) {

@@ -6,9 +6,10 @@
 //! Run with `cargo run -p lobster-bench --release --bin fig11_psa`.
 
 use lobster::{Lobster, MaxMinProb};
-use lobster_baselines::{BaselineError, ProblogEngine};
+use lobster_baselines::ProblogEngine;
 use lobster_bench::{
-    print_header, quick_mode, run_lobster, run_scallop, scallop_facts, time_it, Outcome,
+    baseline_failure, paper_outcome, print_header, quick_mode, run_lobster, run_scallop,
+    scallop_facts, speedup,
 };
 use lobster_workloads::psa;
 use rand::rngs::StdRng;
@@ -25,7 +26,7 @@ fn main() {
     // ProbLog gets a scaled-down stand-in for the paper's 2-hour budget.
     let problog_budget = Duration::from_secs(if quick_mode() { 1 } else { 10 });
     println!(
-        "{:<14} {:>12} {:>12} {:>9} {:>8} {:>12}",
+        "{:<14} {:>20} {:>20} {:>9} {:>8} {:>20}",
         "program", "scallop (s)", "lobster (s)", "speedup", "paper", "problog"
     );
     let program = Lobster::builder(psa::PROGRAM)
@@ -48,22 +49,16 @@ fn main() {
             .ram;
         let problog_engine = ProblogEngine::new().with_timeout(Some(problog_budget));
         let problog_facts = sample.facts.encoded_probabilistic();
-        let (problog_result, problog_time) = time_it(|| problog_engine.run(&ram, &problog_facts));
-        let problog = match problog_result {
-            Ok(_) => Outcome::Ok(problog_time),
-            Err(BaselineError::Timeout { .. }) => Outcome::Timeout,
-            Err(other) => panic!("unexpected ProbLog failure: {other}"),
-        };
-        let speedup = match (scallop.seconds(), lobster.seconds()) {
-            (Some(b), Some(s)) => format!("{:.2}x", b / s.max(1e-9)),
-            _ => "-".to_string(),
-        };
+        let problog = paper_outcome(
+            || problog_engine.run(&ram, &problog_facts),
+            baseline_failure,
+        );
         println!(
-            "{:<14} {:>12} {:>12} {:>9} {:>7.2}x {:>12}",
+            "{:<14} {:>20} {:>20} {:>9} {:>7.2}x {:>20}",
             sample.name,
             scallop.cell(),
             lobster.cell(),
-            speedup,
+            speedup(&scallop, &lobster),
             paper[i],
             problog.cell()
         );

@@ -6,7 +6,7 @@
 //! Run with `cargo run -p lobster-bench --release --bin fig12_rna`.
 
 use lobster::Lobster;
-use lobster_bench::{print_header, quick_mode, run_lobster, run_scallop, scallop_facts};
+use lobster_bench::{print_header, quick_mode, run_lobster, run_scallop, scallop_facts, speedup};
 use lobster_provenance::{InputFactRegistry, Top1Proof};
 use lobster_workloads::rna;
 use rand::rngs::StdRng;
@@ -24,7 +24,7 @@ fn main() {
     };
     let mut rng = StdRng::seed_from_u64(12);
     println!(
-        "{:<8} {:>10} {:>12} {:>12} {:>10}",
+        "{:<8} {:>10} {:>20} {:>20} {:>10}",
         "length", "pairs", "scallop (s)", "lobster (s)", "speedup"
     );
     let program = Lobster::builder(rna::PROGRAM)
@@ -41,17 +41,13 @@ fn main() {
             &scallop_facts(&prov, &sample.facts()),
             None,
         );
-        let speedup = match (scallop.seconds(), lobster.seconds()) {
-            (Some(b), Some(s)) => format!("{:.2}x", b / s.max(1e-9)),
-            _ => "-".to_string(),
-        };
         println!(
-            "{:<8} {:>10} {:>12} {:>12} {:>10}",
+            "{:<8} {:>10} {:>20} {:>20} {:>10}",
             length,
             sample.pairings.len(),
             scallop.cell(),
             lobster.cell(),
-            speedup
+            speedup(&scallop, &lobster)
         );
     }
 }

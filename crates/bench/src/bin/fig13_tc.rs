@@ -4,8 +4,7 @@
 //! Run with `cargo run -p lobster-bench --release --bin fig13_tc`.
 
 use lobster::{Device, Lobster, Unit, Value};
-use lobster_baselines::FvlogEngine;
-use lobster_bench::{print_header, quick_mode, run_lobster, run_souffle, time_it, Outcome};
+use lobster_bench::{print_header, quick_mode, run_fvlog, run_lobster, run_souffle, speedup};
 use lobster_workloads::graphs::{self, NamedGraph};
 use lobster_workloads::WorkloadFacts;
 use rand::rngs::StdRng;
@@ -29,7 +28,7 @@ fn main() {
         .compile_typed::<Unit>()
         .expect("program compiles");
     println!(
-        "{:<16} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "{:<16} {:>8} {:>20} {:>20} {:>20} {:>12} {:>12}",
         "graph", "edges", "souffle (s)", "lobster (s)", "fvlog (s)", "lobster spd", "fvlog spd"
     );
     for graph in graphs::FIG13_GRAPHS {
@@ -47,28 +46,16 @@ fn main() {
 
         let souffle = run_souffle(graphs::TRANSITIVE_CLOSURE, &discrete, None);
         let (lobster, _) = run_lobster(&program, &facts);
-        let ram = lobster_datalog::parse(graphs::TRANSITIVE_CLOSURE)
-            .expect("compiles")
-            .ram;
-        let fvlog_engine = FvlogEngine::new(Device::default());
-        let (fvlog_result, fvlog_time) = time_it(|| fvlog_engine.run(&ram, &discrete));
-        let fvlog = match fvlog_result {
-            Ok(_) => Outcome::Ok(fvlog_time),
-            Err(_) => Outcome::Oom,
-        };
-        let spd = |system: &Outcome| match (souffle.seconds(), system.seconds()) {
-            (Some(b), Some(s)) => format!("{:.2}x", b / s.max(1e-9)),
-            _ => "-".to_string(),
-        };
+        let fvlog = run_fvlog(graphs::TRANSITIVE_CLOSURE, Device::default(), &facts);
         println!(
-            "{:<16} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
+            "{:<16} {:>8} {:>20} {:>20} {:>20} {:>12} {:>12}",
             graph.name,
             edges.len(),
             souffle.cell(),
             lobster.cell(),
             fvlog.cell(),
-            spd(&lobster),
-            spd(&fvlog)
+            speedup(&souffle, &lobster),
+            speedup(&souffle, &fvlog)
         );
     }
 }

@@ -6,13 +6,13 @@
 
 use lobster::{DiffTop1Proof, Lobster};
 use lobster_bench::{
-    print_header, quick_mode, run_lobster, run_scallop, scaled, scallop_facts, Outcome,
+    print_header, quick_mode, run_lobster, run_scallop, scaled, scallop_facts, speedup, Outcome,
+    Samples, PAPER_SAMPLES,
 };
 use lobster_provenance::InputFactRegistry;
 use lobster_workloads::{clutrr, hwf, pacman, pathfinder, WorkloadFacts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 
 struct Task {
     name: &'static str,
@@ -21,15 +21,16 @@ struct Task {
     paper_speedup: f64,
 }
 
+/// The task total, summed rank by rank: its median sums the medians.
 fn total(outcomes: &[Outcome]) -> Outcome {
-    let mut sum = Duration::ZERO;
+    let mut sum = vec![0.0; PAPER_SAMPLES];
     for o in outcomes {
         match o {
-            Outcome::Ok(d) => sum += *d,
+            Outcome::Ok(s) => sum.iter_mut().zip(s.values()).for_each(|(t, v)| *t += v),
             other => return other.clone(),
         }
     }
-    Outcome::Ok(sum)
+    Outcome::Ok(Samples::new(sum))
 }
 
 fn main() {
@@ -75,7 +76,7 @@ fn main() {
     ];
 
     println!(
-        "{:<12} {:>14} {:>14} {:>10} {:>10}",
+        "{:<12} {:>20} {:>20} {:>10} {:>10}",
         "task", "scallop (s)", "lobster (s)", "speedup", "paper"
     );
     for task in &tasks {
@@ -104,16 +105,12 @@ fn main() {
             .collect();
         let lobster_total = total(&lobster_outcomes);
         let scallop_total = total(&scallop_outcomes);
-        let speedup = match (scallop_total.seconds(), lobster_total.seconds()) {
-            (Some(b), Some(s)) => format!("{:.2}x", b / s.max(1e-9)),
-            _ => "-".to_string(),
-        };
         println!(
-            "{:<12} {:>14} {:>14} {:>10} {:>9.2}x",
+            "{:<12} {:>20} {:>20} {:>10} {:>9.2}x",
             task.name,
             scallop_total.cell(),
             lobster_total.cell(),
-            speedup,
+            speedup(&scallop_total, &lobster_total),
             task.paper_speedup
         );
     }

@@ -21,7 +21,8 @@
 //!
 //! * `--quick` / `LOBSTER_BENCH_QUICK=1` — shrink the workloads for a CI
 //!   smoke run.
-//! * `--repeats N` — best-of-N timing (default 3).
+//! * `--repeats N` — samples per timing (default 3) through
+//!   [`lobster_bench::measure`]; each `*_ms` field is their minimum.
 //! * `--assert-delta-factor X` — exit non-zero unless the `|Δ|=1` update on
 //!   the largest workload is at least `X ×` cheaper than from-scratch.
 //!
@@ -29,45 +30,51 @@
 //! artifact, so a degraded regeneration is self-describing.
 
 use lobster::{FactSet, Lobster, Unit, Value};
-use lobster_bench::{print_header, quick_mode};
-use std::time::{Duration, Instant};
+use lobster_bench::{measure, print_header, quick_mode, Args, Artifact, Samples};
+use lobster_serve::json::{obj, Json};
+use std::time::Instant;
 
 const TC: &str = "type edge(x: u32, y: u32)
     rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
     query path";
 
-/// One measured workload size.
+/// One measured workload size; every timing is in seconds.
 struct Row {
     edges: usize,
     path_tuples: usize,
-    from_scratch: Duration,
+    from_scratch: Samples,
     scratch_iterations: usize,
-    delta1: Duration,
+    delta1: Samples,
     delta1_iterations: usize,
-    delta16: Duration,
-    retract1: Duration,
+    delta16: Samples,
+    retract1: Samples,
 }
 
 impl Row {
     fn scratch_over_delta1(&self) -> f64 {
-        self.from_scratch.as_secs_f64() / self.delta1.as_secs_f64().max(1e-9)
+        self.from_scratch.min() / self.delta1.min().max(1e-9)
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"edges\": {}, \"path_tuples\": {}, \"from_scratch_ms\": {:.3}, \
-             \"scratch_iterations\": {}, \"delta1_ms\": {:.3}, \"delta1_iterations\": {}, \
-             \"delta16_ms\": {:.3}, \"retract1_ms\": {:.3}, \"scratch_over_delta1\": {:.3}}}",
-            self.edges,
-            self.path_tuples,
-            self.from_scratch.as_secs_f64() * 1e3,
-            self.scratch_iterations,
-            self.delta1.as_secs_f64() * 1e3,
-            self.delta1_iterations,
-            self.delta16.as_secs_f64() * 1e3,
-            self.retract1.as_secs_f64() * 1e3,
-            self.scratch_over_delta1(),
-        )
+    fn json(&self) -> Json {
+        let mut row = obj([
+            ("edges", Json::from(self.edges)),
+            ("path_tuples", Json::from(self.path_tuples)),
+            ("scratch_iterations", Json::from(self.scratch_iterations)),
+            ("delta1_iterations", Json::from(self.delta1_iterations)),
+            ("scratch_over_delta1", Json::Num(self.scratch_over_delta1())),
+        ]);
+        let mut spread = obj([]);
+        for (key, samples) in [
+            ("from_scratch_ms", &self.from_scratch),
+            ("delta1_ms", &self.delta1),
+            ("delta16_ms", &self.delta16),
+            ("retract1_ms", &self.retract1),
+        ] {
+            row.set(key, Json::Num(samples.min() * 1e3));
+            spread.set(key, samples.row(1e3, []));
+        }
+        row.set("spread", spread);
+        row
     }
 }
 
@@ -83,28 +90,11 @@ fn chain(from: u32, count: usize) -> FactSet {
     facts
 }
 
-fn best_of(repeats: usize, mut f: impl FnMut() -> Duration) -> Duration {
-    (0..repeats)
-        .map(|_| f())
-        .min()
-        .expect("at least one repeat")
-}
-
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = quick_mode() || args.iter().any(|a| a == "--quick");
-    let repeats: usize = arg_value(&args, "--repeats")
-        .map(|v| v.parse().expect("--repeats takes a number"))
-        .unwrap_or(3)
-        .max(1);
-    let assert_delta_factor: Option<f64> = arg_value(&args, "--assert-delta-factor")
-        .map(|v| v.parse().expect("--assert-delta-factor takes a number"));
+    let args = Args::from_env();
+    let quick = quick_mode() || args.has("--quick");
+    let repeats: usize = args.value("--repeats").unwrap_or(3).max(1);
+    let assert_delta_factor: Option<f64> = args.value("--assert-delta-factor");
     let sizes: &[usize] = if quick {
         &[32, 64, 128]
     } else {
@@ -125,7 +115,7 @@ fn main() {
         // From-scratch reference: a fresh session per repeat, timed over the
         // full evaluation only (fact registration excluded on both paths).
         let mut scratch_iterations = 0;
-        let from_scratch = best_of(repeats, || {
+        let from_scratch = measure(repeats, || {
             let mut session = program.session();
             session.insert_facts(&chain(0, edges)).expect("chain facts");
             let start = Instant::now();
@@ -145,7 +135,7 @@ fn main() {
         let mut delta1_iterations = 0;
         let measure_insert = |delta: usize, iterations: Option<&mut usize>| {
             let mut out_iterations = 0;
-            let wall = best_of(repeats, || {
+            let wall = measure(repeats, || {
                 let mut session = base.clone();
                 session
                     .insert_facts(&chain(edges as u32, delta))
@@ -166,7 +156,7 @@ fn main() {
         let delta1 = measure_insert(1, Some(&mut delta1_iterations));
         let delta16 = measure_insert(16, None);
 
-        let retract1 = best_of(repeats, || {
+        let retract1 = measure(repeats, || {
             let mut session = base.clone();
             assert_eq!(session.retract_facts(&ids[..1]), 1);
             let start = Instant::now();
@@ -199,18 +189,16 @@ fn main() {
             "{:>8} {:>12} {:>12.3} {:>10.3} {:>10.3} {:>10.3} {:>8.1}x",
             r.edges,
             r.path_tuples,
-            r.from_scratch.as_secs_f64() * 1e3,
-            r.delta1.as_secs_f64() * 1e3,
-            r.delta16.as_secs_f64() * 1e3,
-            r.retract1.as_secs_f64() * 1e3,
+            r.from_scratch.min() * 1e3,
+            r.delta1.min() * 1e3,
+            r.delta16.min() * 1e3,
+            r.retract1.min() * 1e3,
             r.scratch_over_delta1(),
         );
     }
 
     let largest = rows.last().expect("at least one size");
     let largest_factor = largest.scratch_over_delta1();
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-
     let delta_gate = match assert_delta_factor {
         None => "not-requested",
         Some(required) if largest_factor < required => {
@@ -231,35 +219,17 @@ fn main() {
         }
     };
 
-    let rows_json = rows
-        .iter()
-        .map(Row::json)
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        "{{\n  \"workload\": \"chain-transitive-closure\",\n  \"provenance\": \"unit\",\n  \
-         \"quick_mode\": {quick},\n  \"cpus\": {cpus},\n  \"repeats\": {repeats},\n  \
-         \"sizes\": [\n    {rows_json}\n  ],\n  \
-         \"largest_scratch_over_delta1\": {largest_factor:.3},\n  \
-         \"delta_factor_gate\": \"{delta_gate}\"\n}}\n",
+    Artifact::new("BENCH_incremental.json", quick).write(
+        obj([
+            ("workload", Json::from("chain-transitive-closure")),
+            ("provenance", Json::from("unit")),
+            ("repeats", Json::from(repeats)),
+            ("sizes", Json::Arr(rows.iter().map(Row::json).collect())),
+            ("largest_scratch_over_delta1", Json::Num(largest_factor)),
+            ("delta_factor_gate", Json::from(delta_gate)),
+        ]),
+        None,
     );
-    let json = match lobster_bench::degraded_overwrite_warning(
-        "BENCH_incremental.json",
-        lobster_bench::ArtifactMode::current(quick),
-    ) {
-        Some(note) => {
-            let mut doc =
-                lobster_serve::json::parse(&json).expect("incremental artifact is valid JSON");
-            doc.set(
-                "mode_warning",
-                lobster_serve::json::Json::from(note.as_str()),
-            );
-            doc.to_pretty() + "\n"
-        }
-        None => json,
-    };
-    std::fs::write("BENCH_incremental.json", &json).expect("write BENCH_incremental.json");
-    println!("\nwrote BENCH_incremental.json");
 
     if delta_gate == "failed" {
         std::process::exit(1);

@@ -1,10 +1,11 @@
 //! Kernel-layer throughput: every hot kernel at parallelism 1/2/4/8 plus an
 //! end-to-end transitive-closure fix-point, written to `BENCH_kernels.json`.
 //!
-//! Each kernel row reports the best-of-N wall time at a given worker count
-//! over the *same* input data, so `speedup_vs_p1` isolates what the parallel
-//! decomposition (radix scatter, merge-path partitioning, partitioned hash
-//! builds, radix-grouped probes) actually buys on this machine. A
+//! Each kernel row reports the minimum wall time of the `--repeats` samples
+//! [`lobster_bench::measure`] takes at a given worker count over the *same*
+//! input data, so `speedup_vs_p1` isolates what the parallel decomposition
+//! (radix scatter, merge-path partitioning, partitioned hash builds,
+//! radix-grouped probes) actually buys on this machine. A
 //! `kernel_time_ms` section breaks the device's accumulated chunk-execution
 //! (busy) time into the sort/join/unique buckets of
 //! [`lobster_gpu::KernelTime`], and `kernel_wall_ms` does the same for
@@ -43,33 +44,38 @@
 //! speedup on a one-CPU runner is distinguishable from a regression.
 
 use lobster::{Lobster, RuntimeOptions, SymbolTable, Value};
-use lobster_bench::{print_header, quick_mode};
+use lobster_bench::{measure, print_header, quick_mode, Args, Artifact, Samples};
 use lobster_gpu::{kernels, Device, DeviceConfig, HashIndex, KernelTime};
 use lobster_provenance::Unit;
+use lobster_serve::json::{obj, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const PARALLELISMS: [usize; 4] = [1, 2, 4, 8];
 
-/// One measured configuration of one kernel.
+/// One measured configuration of one kernel; `wall` is in seconds.
 struct Row {
     kernel: &'static str,
     parallelism: usize,
     rows: usize,
-    wall: Duration,
+    wall: Samples,
 }
 
 impl Row {
-    fn json(&self, p1_wall: Duration) -> String {
-        format!(
-            "{{\"kernel\": \"{}\", \"parallelism\": {}, \"rows\": {}, \
-             \"wall_ms\": {:.3}, \"speedup_vs_p1\": {:.3}}}",
-            self.kernel,
-            self.parallelism,
-            self.rows,
-            self.wall.as_secs_f64() * 1e3,
-            p1_wall.as_secs_f64() / self.wall.as_secs_f64().max(1e-12),
+    fn json(&self, p1_wall: f64) -> Json {
+        self.wall.row(
+            1e3,
+            [
+                ("kernel", Json::from(self.kernel)),
+                ("parallelism", Json::from(self.parallelism)),
+                ("rows", Json::from(self.rows)),
+                ("wall_ms", Json::Num(self.wall.min() * 1e3)),
+                (
+                    "speedup_vs_p1",
+                    Json::Num(p1_wall / self.wall.min().max(1e-12)),
+                ),
+            ],
         )
     }
 }
@@ -82,13 +88,6 @@ fn device_with(parallelism: usize) -> Device {
     })
 }
 
-fn best_of(repeats: usize, mut f: impl FnMut() -> Duration) -> Duration {
-    (0..repeats)
-        .map(|_| f())
-        .min()
-        .expect("at least one repeat")
-}
-
 fn refs(cols: &[Vec<u64>]) -> Vec<&[u64]> {
     cols.iter().map(|c| c.as_slice()).collect()
 }
@@ -99,36 +98,21 @@ fn random_cols(rng: &mut StdRng, rows: usize, arity: usize, key_space: u64) -> V
         .collect()
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = quick_mode() || args.iter().any(|a| a == "--quick");
+    let args = Args::from_env();
+    let quick = quick_mode() || args.has("--quick");
     let scale = |full: usize, small: usize| if quick { small } else { full };
     // Quick mode still uses enough rows that per-chunk compute dominates
     // thread-spawn overhead on small CI runners — the ≥1.0× gate measures
     // the decomposition, not the spawn cost.
-    let rows: usize = arg_value(&args, "--rows")
-        .map(|v| v.parse().expect("--rows takes a number"))
+    let rows: usize = args
+        .value("--rows")
         .unwrap_or_else(|| scale(400_000, 150_000));
-    let repeats: usize = arg_value(&args, "--repeats")
-        .map(|v| v.parse().expect("--repeats takes a number"))
-        .unwrap_or(3)
-        .max(1);
-    let assert_factor: Option<f64> = arg_value(&args, "--assert-parallel-factor")
-        .map(|v| v.parse().expect("--assert-parallel-factor takes a number"));
-    let assert_merge_factor: Option<f64> =
-        arg_value(&args, "--assert-merge-join-factor").map(|v| {
-            v.parse()
-                .expect("--assert-merge-join-factor takes a number")
-        });
-    let assert_encoded_factor: Option<f64> = arg_value(&args, "--assert-encoded-factor")
-        .map(|v| v.parse().expect("--assert-encoded-factor takes a number"));
+    let repeats: usize = args.value("--repeats").unwrap_or(3).max(1);
+    let assert_factor: Option<f64> = args.value("--assert-parallel-factor");
+    let assert_merge_factor: Option<f64> = args.value("--assert-merge-join-factor");
+    let assert_encoded_factor: Option<f64> = args.value("--assert-encoded-factor");
     let tc_edges = scale(400, 120);
 
     print_header(
@@ -181,7 +165,7 @@ fn main() {
             kernels::apply_permutation(&device, &probe_perm, &refs(&probe), &tags);
 
         let mut bench = |kernel: &'static str, f: &mut dyn FnMut()| {
-            let wall = best_of(repeats, || {
+            let wall = measure(repeats, || {
                 let start = Instant::now();
                 f();
                 start.elapsed()
@@ -333,7 +317,7 @@ fn main() {
         query path";
     let mut e2e_rows: Vec<Row> = Vec::new();
     for &p in &PARALLELISMS {
-        let wall = best_of(repeats, || {
+        let wall = measure(repeats, || {
             // The e2e row uses the production chunking threshold: small
             // fix-point iterations stay sequential, exactly as served
             // traffic would run them.
@@ -376,7 +360,7 @@ fn main() {
     // context.
     struct WideRow {
         mode: &'static str,
-        wall: Duration,
+        wall: Samples,
         bytes: usize,
     }
     let sym_source = "type edge(x: symbol, y: symbol)
@@ -389,8 +373,8 @@ fn main() {
         .collect();
     let mut wide_rows: Vec<WideRow> = Vec::new();
     for (mode, encoded) in [("encoded", true), ("full_width", false)] {
-        let mut best: Option<WideRow> = None;
-        for _ in 0..repeats {
+        let mut bytes = 0;
+        let wall = measure(repeats, || {
             let device = Device::new(DeviceConfig {
                 parallelism: 4,
                 ..DeviceConfig::default()
@@ -414,14 +398,14 @@ fn main() {
             let start = Instant::now();
             let result = session.run().expect("symbol TC runs");
             let wall = start.elapsed();
+            // Transfer volume is deterministic, so every sample moves the
+            // same bytes.
             let moved = device.stats().delta_since(&before);
-            let bytes = moved.bytes_to_device + moved.bytes_to_host;
+            bytes = moved.bytes_to_device + moved.bytes_to_host;
             assert!(result.len("path") > sym_edges);
-            if best.as_ref().map_or(true, |b| wall < b.wall) {
-                best = Some(WideRow { mode, wall, bytes });
-            }
-        }
-        wide_rows.push(best.expect("at least one repeat"));
+            wall
+        });
+        wide_rows.push(WideRow { mode, wall, bytes });
     }
     let wide_at = |mode: &str| {
         wide_rows
@@ -432,34 +416,32 @@ fn main() {
     let encoded_width_factor =
         wide_at("full_width").bytes as f64 / (wide_at("encoded").bytes as f64).max(1.0);
     let encoded_wall_factor =
-        wide_at("full_width").wall.as_secs_f64() / wide_at("encoded").wall.as_secs_f64().max(1e-12);
+        wide_at("full_width").wall.min() / wide_at("encoded").wall.min().max(1e-12);
 
-    let p1_wall = |rows: &[Row], kernel: &str| {
+    let wall_at = |rows: &[Row], kernel: &str, p: usize| {
         rows.iter()
-            .find(|r| r.kernel == kernel && r.parallelism == 1)
-            .map(|r| r.wall)
-            .expect("parallelism-1 row measured")
+            .find(|r| r.kernel == kernel && r.parallelism == p)
+            .map(|r| r.wall.min())
+            .expect("row measured")
     };
     println!(
         "{:<20} {:>12} {:>6} {:>12} {:>9}",
         "kernel", "rows", "par", "wall (ms)", "speedup"
     );
     for r in rows_out.iter().chain(&e2e_rows) {
-        let base = p1_wall(
-            if r.kernel == "transitive_closure" {
-                &e2e_rows
-            } else {
-                &rows_out
-            },
-            r.kernel,
-        );
+        let rows = if r.kernel == "transitive_closure" {
+            &e2e_rows
+        } else {
+            &rows_out
+        };
+        let base = wall_at(rows, r.kernel, 1);
         println!(
             "{:<20} {:>12} {:>6} {:>12.3} {:>8.2}x",
             r.kernel,
             r.rows,
             r.parallelism,
-            r.wall.as_secs_f64() * 1e3,
-            base.as_secs_f64() / r.wall.as_secs_f64().max(1e-12),
+            r.wall.min() * 1e3,
+            base / r.wall.min().max(1e-12),
         );
     }
 
@@ -469,34 +451,22 @@ fn main() {
             format!("sym_tc_{}", r.mode),
             sym_edges,
             4,
-            r.wall.as_secs_f64() * 1e3,
+            r.wall.min() * 1e3,
             r.bytes as f64 / 1e6,
         );
     }
 
-    let factor = |kernel: &str, p: usize| {
-        let base = p1_wall(&rows_out, kernel).as_secs_f64();
-        let at = rows_out
-            .iter()
-            .find(|r| r.kernel == kernel && r.parallelism == p)
-            .map(|r| r.wall.as_secs_f64())
-            .expect("row measured");
-        base / at.max(1e-12)
-    };
-    let sort_factor = factor("sort", 4);
-    let unique_factor = factor("unique", 4);
-    let hash_build_factor = factor("hash_build", 4);
-    let wall_at = |kernel: &str, p: usize| {
-        rows_out
-            .iter()
-            .find(|r| r.kernel == kernel && r.parallelism == p)
-            .map(|r| r.wall.as_secs_f64())
-            .expect("row measured")
-    };
+    let factor =
+        |kernel: &str| wall_at(&rows_out, kernel, 1) / wall_at(&rows_out, kernel, 4).max(1e-12);
+    let sort_factor = factor("sort");
+    let unique_factor = factor("unique");
+    let hash_build_factor = factor("hash_build");
     // How much the sorted-build merge path buys over paying a fresh hash
     // index every join, at the gate parallelism.
-    let merge_factor = wall_at("hash_join_with_build", 4) / wall_at("merge_join", 4).max(1e-12);
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let merge_factor = wall_at(&rows_out, "hash_join_with_build", 4)
+        / wall_at(&rows_out, "merge_join", 4).max(1e-12);
+    let artifact = Artifact::new("BENCH_kernels.json", quick);
+    let cpus = artifact.mode.cpus;
 
     // Evaluate the gates *before* writing the JSON so each outcome is
     // recorded alongside the numbers it judged; the process still exits
@@ -566,85 +536,65 @@ fn main() {
         }
     };
 
-    let kernel_rows_json = rows_out
-        .iter()
-        .map(|r| r.json(p1_wall(&rows_out, r.kernel)))
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let e2e_json = e2e_rows
-        .iter()
-        .map(|r| r.json(p1_wall(&e2e_rows, r.kernel)))
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let time_buckets = |t: &KernelTime| {
-        format!(
-            "\"sort_ms\": {:.3}, \"join_ms\": {:.3}, \"unique_ms\": {:.3}, \"other_ms\": {:.3}",
-            t.sort_ns as f64 / 1e6,
-            t.join_ns as f64 / 1e6,
-            t.unique_ns as f64 / 1e6,
-            t.other_ns as f64 / 1e6,
+    let rows_json = |rows: &[Row]| {
+        Json::Arr(
+            rows.iter()
+                .map(|r| r.json(wall_at(rows, r.kernel, 1)))
+                .collect(),
         )
     };
-    let times_json = times_out
-        .iter()
-        .map(|(p, busy, _)| format!("{{\"parallelism\": {p}, {}}}", time_buckets(busy)))
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let walls_json = times_out
-        .iter()
-        .map(|(p, _, wall)| format!("{{\"parallelism\": {p}, {}}}", time_buckets(wall)))
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let wide_json = wide_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"mode\": \"{}\", \"edges\": {}, \"parallelism\": 4, \
-                 \"wall_ms\": {:.3}, \"bytes_per_fixpoint\": {}}}",
-                r.mode,
-                sym_edges,
-                r.wall.as_secs_f64() * 1e3,
-                r.bytes,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        "{{\n  \"workload\": \"synthetic-kernels\",\n  \"rows\": {rows},\n  \
-         \"tc_edges\": {tc_edges},\n  \"quick_mode\": {quick},\n  \"cpus\": {cpus},\n  \
-         \"kernels\": [\n    {kernel_rows_json}\n  ],\n  \
-         \"e2e\": [\n    {e2e_json}\n  ],\n  \
-         \"wide_string\": [\n    {wide_json}\n  ],\n  \
-         \"kernel_time_ms\": [\n    {times_json}\n  ],\n  \
-         \"kernel_wall_ms\": [\n    {walls_json}\n  ],\n  \
-         \"sort_parallel4_factor\": {sort_factor:.3},\n  \
-         \"unique_parallel4_factor\": {unique_factor:.3},\n  \
-         \"hash_build_parallel4_factor\": {hash_build_factor:.3},\n  \
-         \"merge_vs_hash_build_parallel4_factor\": {merge_factor:.3},\n  \
-         \"encoded_width_factor\": {encoded_width_factor:.3},\n  \
-         \"encoded_wall_factor\": {encoded_wall_factor:.3},\n  \
-         \"parallel_factor_gate\": \"{parallel_gate}\",\n  \
-         \"merge_join_gate\": \"{merge_gate}\",\n  \
-         \"encoded_gate\": \"{encoded_gate}\"\n}}\n",
-    );
-    // A degraded rerun (quick mode / 1 CPU) over a committed full-fidelity
-    // artifact warns loudly and stamps the file.
-    let json = match lobster_bench::degraded_overwrite_warning(
-        "BENCH_kernels.json",
-        lobster_bench::ArtifactMode::current(quick),
-    ) {
-        Some(note) => {
-            let mut doc = lobster_serve::json::parse(&json).expect("kernel artifact is valid JSON");
-            doc.set(
-                "mode_warning",
-                lobster_serve::json::Json::from(note.as_str()),
-            );
-            doc.to_pretty() + "\n"
-        }
-        None => json,
+    let time_buckets = |pick: fn(&(usize, KernelTime, KernelTime)) -> &KernelTime| {
+        let bucket = |(p, t): (usize, &KernelTime)| {
+            obj([
+                ("parallelism", Json::from(p)),
+                ("sort_ms", Json::Num(t.sort_ns as f64 / 1e6)),
+                ("join_ms", Json::Num(t.join_ns as f64 / 1e6)),
+                ("unique_ms", Json::Num(t.unique_ns as f64 / 1e6)),
+                ("other_ms", Json::Num(t.other_ns as f64 / 1e6)),
+            ])
+        };
+        Json::Arr(times_out.iter().map(|e| bucket((e.0, pick(e)))).collect())
     };
-    std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
-    println!("\nwrote BENCH_kernels.json");
+    let wide_json = |r: &WideRow| {
+        r.wall.row(
+            1e3,
+            [
+                ("mode", Json::from(r.mode)),
+                ("edges", Json::from(sym_edges)),
+                ("parallelism", Json::from(4usize)),
+                ("wall_ms", Json::Num(r.wall.min() * 1e3)),
+                ("bytes_per_fixpoint", Json::from(r.bytes)),
+            ],
+        )
+    };
+    artifact.write(
+        obj([
+            ("workload", Json::from("synthetic-kernels")),
+            ("rows", Json::from(rows)),
+            ("tc_edges", Json::from(tc_edges)),
+            ("kernels", rows_json(&rows_out)),
+            ("e2e", rows_json(&e2e_rows)),
+            (
+                "wide_string",
+                Json::Arr(wide_rows.iter().map(wide_json).collect()),
+            ),
+            ("kernel_time_ms", time_buckets(|e| &e.1)),
+            ("kernel_wall_ms", time_buckets(|e| &e.2)),
+            ("sort_parallel4_factor", Json::Num(sort_factor)),
+            ("unique_parallel4_factor", Json::Num(unique_factor)),
+            ("hash_build_parallel4_factor", Json::Num(hash_build_factor)),
+            (
+                "merge_vs_hash_build_parallel4_factor",
+                Json::Num(merge_factor),
+            ),
+            ("encoded_width_factor", Json::Num(encoded_width_factor)),
+            ("encoded_wall_factor", Json::Num(encoded_wall_factor)),
+            ("parallel_factor_gate", Json::from(parallel_gate)),
+            ("merge_join_gate", Json::from(merge_gate)),
+            ("encoded_gate", Json::from(encoded_gate)),
+        ]),
+        None,
+    );
 
     if parallel_gate == "failed" || merge_gate == "failed" || encoded_gate == "failed" {
         std::process::exit(1);

@@ -35,8 +35,8 @@
 //!   "bounded", not "fast").
 
 use lobster::{FactSet, ProvenanceKind};
-use lobster_bench::{print_header, quick_mode, ArtifactMode};
-use lobster_serve::json::{obj, parse, Json};
+use lobster_bench::{print_header, quick_mode, Args, Artifact, Samples};
+use lobster_serve::json::Json;
 use lobster_serve::{
     AdmissionConfig, Client, KeyStore, ProgramCache, Quota, SchedulerConfig, Server, ServerConfig,
 };
@@ -73,14 +73,6 @@ impl ClientReport {
             .extend_from_slice(&other.accepted_latencies_ms);
         self
     }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// One client running closed-loop until `deadline`: the next request goes
@@ -172,32 +164,21 @@ fn run_phase(
         .fold(ClientReport::default(), |acc, r| acc.merge(&r))
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = quick_mode() || args.iter().any(|a| a == "--quick");
+    let args = Args::from_env();
+    let quick = quick_mode() || args.has("--quick");
     let pick = |full: u64, q: u64| if quick { q } else { full };
-    let clients: usize = arg_value(&args, "--clients")
-        .map(|v| v.parse().expect("--clients takes a number"))
+    let clients: usize = args
+        .value("--clients")
         .unwrap_or(pick(8, 4) as usize)
         .max(1);
-    let duration = Duration::from_millis(
-        arg_value(&args, "--duration-ms")
-            .map(|v| v.parse().expect("--duration-ms takes a number"))
-            .unwrap_or(pick(4000, 1200)),
-    );
-    let max_pending: usize = arg_value(&args, "--max-pending")
-        .map(|v| v.parse().expect("--max-pending takes a number"))
+    let duration = Duration::from_millis(args.value("--duration-ms").unwrap_or(pick(4000, 1200)));
+    let max_pending: usize = args
+        .value("--max-pending")
         .unwrap_or(pick(32, 8) as usize)
         .max(1);
-    let assert_zero_hung = args.iter().any(|a| a == "--assert-zero-hung");
-    let p99_limit_ms: Option<f64> = arg_value(&args, "--p99-limit-ms")
-        .map(|v| v.parse().expect("--p99-limit-ms takes a number"));
+    let assert_zero_hung = args.has("--assert-zero-hung");
+    let p99_limit_ms: Option<f64> = args.value("--p99-limit-ms");
 
     print_header(
         "Serving under overload — closed-loop load generator",
@@ -270,11 +251,10 @@ fn main() {
     let interval = Duration::from_secs_f64(overload_clients as f64 / target_rps.max(1e-9));
     let overload = run_phase(addr, overload_clients, &requests, duration, Some(interval));
     let overload_secs = duration.as_secs_f64();
-    let mut latencies = overload.accepted_latencies_ms.clone();
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let p50 = percentile(&latencies, 50.0);
-    let p99 = percentile(&latencies, 99.0);
-    let max_ms = latencies.last().copied().unwrap_or(0.0);
+    let latencies = Samples::new(overload.accepted_latencies_ms.clone());
+    let p50 = latencies.percentile(50.0);
+    let p99 = latencies.percentile(99.0);
+    let max_ms = latencies.percentile(100.0);
     let offered_rps = overload.attempts as f64 / overload_secs.max(1e-9);
     let accepted_rps = overload.accepted as f64 / overload_secs.max(1e-9);
     println!(
@@ -315,66 +295,40 @@ fn main() {
         Some(_) => "failed",
     };
 
-    let mode = ArtifactMode::current(quick);
-    let mut section = obj([
-        ("quick_mode", Json::Bool(mode.quick_mode)),
-        ("cpus", Json::from(mode.cpus)),
-        ("clients", Json::from(clients)),
-        ("overload_clients", Json::from(overload_clients)),
-        ("duration_s", Json::Num(overload_secs)),
-        ("max_pending", Json::from(max_pending)),
-        ("capacity_rps", Json::Num(capacity_rps)),
-        ("target_rps", Json::Num(target_rps)),
-        ("offered_rps", Json::Num(offered_rps)),
-        ("accepted_rps", Json::Num(accepted_rps)),
-        ("attempts", Json::from(overload.attempts)),
-        ("accepted", Json::from(overload.accepted)),
-        ("shed", Json::from(overload.shed)),
-        ("shed_with_retry_after", Json::from(overload.shed_with_hint)),
-        ("other_rejects", Json::from(overload.other_rejects)),
-        ("transport_errors", Json::from(overload.transport_errors)),
-        ("hung_connections", Json::from(hung)),
-        ("accepted_p50_ms", Json::Num(p50)),
-        ("accepted_p99_ms", Json::Num(p99)),
-        ("accepted_max_ms", Json::Num(max_ms)),
-        ("admitted_total", Json::from(admission_stats.admitted)),
-        ("shed_total", Json::from(admission_stats.shed)),
-        ("open_connections_after", Json::from(open_after)),
-        ("drained", Json::Bool(true)),
-        ("zero_hung_gate", Json::from(zero_hung_gate)),
-        ("p99_gate", Json::from(p99_gate)),
-    ]);
-
-    // Merge into BENCH_serve.json without disturbing the throughput
-    // sections. A degraded overload section replacing a full-fidelity one
-    // warns loudly and stamps itself, mirroring the whole-artifact guard.
-    let mut doc = std::fs::read_to_string("BENCH_serve.json")
-        .ok()
-        .and_then(|text| parse(&text).ok())
-        .unwrap_or_else(|| obj([("workload", Json::from("clutrr"))]));
-    let previous_full = doc
-        .get("overload")
-        .map(|old| {
-            let was_quick = old
-                .get("quick_mode")
-                .and_then(Json::as_bool)
-                .unwrap_or(true);
-            let cpus = old.get("cpus").and_then(Json::as_u64).unwrap_or(1);
-            !was_quick && cpus >= 2
-        })
-        .unwrap_or(false);
-    if mode.is_degraded() && previous_full {
-        let note = "a degraded run (quick mode or <2 CPUs) replaced a full-fidelity \
-                    overload section; regenerate full-mode on a multi-CPU machine \
-                    before committing";
-        eprintln!("\n{}", "!".repeat(72));
-        eprintln!("WARNING: BENCH_serve.json overload: {note}");
-        eprintln!("{}\n", "!".repeat(72));
-        section.set("mode_warning", Json::from(note));
-    }
-    doc.set("overload", section);
-    std::fs::write("BENCH_serve.json", doc.to_pretty() + "\n").expect("write BENCH_serve.json");
-    println!("\nwrote the `overload` section of BENCH_serve.json");
+    // Merged into BENCH_serve.json without disturbing the throughput
+    // sections; the spread fields are over the accepted latencies, in ms.
+    Artifact::new("BENCH_serve.json", quick).write_section(
+        "overload",
+        latencies.row(
+            1.0,
+            [
+                ("clients", Json::from(clients)),
+                ("overload_clients", Json::from(overload_clients)),
+                ("duration_s", Json::Num(overload_secs)),
+                ("max_pending", Json::from(max_pending)),
+                ("capacity_rps", Json::Num(capacity_rps)),
+                ("target_rps", Json::Num(target_rps)),
+                ("offered_rps", Json::Num(offered_rps)),
+                ("accepted_rps", Json::Num(accepted_rps)),
+                ("attempts", Json::from(overload.attempts)),
+                ("accepted", Json::from(overload.accepted)),
+                ("shed", Json::from(overload.shed)),
+                ("shed_with_retry_after", Json::from(overload.shed_with_hint)),
+                ("other_rejects", Json::from(overload.other_rejects)),
+                ("transport_errors", Json::from(overload.transport_errors)),
+                ("hung_connections", Json::from(hung)),
+                ("accepted_p50_ms", Json::Num(p50)),
+                ("accepted_p99_ms", Json::Num(p99)),
+                ("accepted_max_ms", Json::Num(max_ms)),
+                ("admitted_total", Json::from(admission_stats.admitted)),
+                ("shed_total", Json::from(admission_stats.shed)),
+                ("open_connections_after", Json::from(open_after)),
+                ("drained", Json::Bool(true)),
+                ("zero_hung_gate", Json::from(zero_hung_gate)),
+                ("p99_gate", Json::from(p99_gate)),
+            ],
+        ),
+    );
 
     if zero_hung_gate == "failed" {
         eprintln!(

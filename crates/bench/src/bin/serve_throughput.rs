@@ -7,8 +7,10 @@
 //! Scallop-style server does. The batched runs turn the batching knob up and
 //! pay one fix-point per mini-batch. A `direct-loop` row (plain in-process
 //! loop, no scheduler, no threads) is also recorded so the dispatch overhead
-//! itself is visible. Reported per configuration: wall time, samples/sec,
-//! and p50/p99 request latency.
+//! itself is visible. Every configuration is run `--repeats` times through
+//! [`lobster_bench::measure`] and reports its fastest run (for the fixed
+//! request count, the best throughput): wall time, samples/sec and p50/p99
+//! request latency, with the spread of the runs' wall times alongside.
 //!
 //! A `sharded` mode is also measured: the same scheduler with each pooled
 //! batch fanned out across shard devices (`SchedulerConfig::num_shards`,
@@ -44,8 +46,8 @@
 //!   never cost throughput).
 
 use lobster::ProvenanceKind;
-use lobster_bench::{degraded_overwrite_warning, print_header, quick_mode, scaled, ArtifactMode};
-use lobster_serve::json::{parse, Json};
+use lobster_bench::{measure, print_header, scaled, Args, Artifact, Samples};
+use lobster_serve::json::{obj, Json};
 use lobster_serve::{BatchScheduler, ProgramCache, SchedulerConfig};
 use lobster_workloads::clutrr;
 use rand::rngs::StdRng;
@@ -58,42 +60,52 @@ struct Measurement {
     batch_size: usize,
     /// Shard devices each batch fans out across (1 = single device).
     num_shards: usize,
-    wall: Duration,
-    latencies_ms: Vec<f64>,
+    /// Wall time in seconds: this run's, or after [`sample`] every run's.
+    walls: Samples,
+    latencies_ms: Samples,
     fixpoints: u64,
 }
 
 impl Measurement {
     fn samples_per_sec(&self) -> f64 {
-        self.latencies_ms.len() as f64 / self.wall.as_secs_f64().max(1e-12)
+        self.latencies_ms.values().len() as f64 / self.walls.min().max(1e-12)
     }
 
-    fn percentile_ms(&self, p: f64) -> f64 {
-        let mut sorted = self.latencies_ms.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-
-    fn json(&self, sequential_sps: f64) -> String {
-        format!(
-            "{{\"label\": \"{}\", \"batch_size\": {}, \"num_shards\": {}, \
-             \"wall_s\": {:.6}, \
-             \"samples_per_sec\": {:.3}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"fixpoints\": {}, \"speedup_vs_sequential\": {:.3}}}",
-            self.label,
-            self.batch_size,
-            self.num_shards,
-            self.wall.as_secs_f64(),
-            self.samples_per_sec(),
-            self.percentile_ms(50.0),
-            self.percentile_ms(99.0),
-            self.fixpoints,
-            self.samples_per_sec() / sequential_sps.max(1e-12),
+    fn json(&self, sequential_sps: f64) -> Json {
+        self.walls.row(
+            1.0,
+            [
+                ("label", Json::from(self.label.as_str())),
+                ("batch_size", Json::from(self.batch_size)),
+                ("num_shards", Json::from(self.num_shards)),
+                ("wall_s", Json::Num(self.walls.min())),
+                ("samples_per_sec", Json::Num(self.samples_per_sec())),
+                ("p50_ms", Json::Num(self.latencies_ms.percentile(50.0))),
+                ("p99_ms", Json::Num(self.latencies_ms.percentile(99.0))),
+                ("fixpoints", Json::from(self.fixpoints)),
+                (
+                    "speedup_vs_sequential",
+                    Json::Num(self.samples_per_sec() / sequential_sps.max(1e-12)),
+                ),
+            ],
         )
+    }
+}
+
+/// The fastest of `n` runs (for a fixed request count, the best throughput)
+/// with the wall times of all `n`.
+fn sample(n: usize, run: impl Fn() -> Measurement) -> Measurement {
+    let mut runs = Vec::new();
+    let walls = measure(n, || {
+        runs.push(run());
+        Duration::from_secs_f64(runs[runs.len() - 1].walls.min())
+    });
+    let fastest = runs
+        .into_iter()
+        .min_by(|a, b| a.walls.min().total_cmp(&b.walls.min()));
+    Measurement {
+        walls,
+        ..fastest.expect("measure takes at least one sample")
     }
 }
 
@@ -119,8 +131,8 @@ fn run_direct(
         label: label.to_string(),
         batch_size: 1,
         num_shards: 1,
-        wall: start.elapsed(),
-        latencies_ms: latencies,
+        walls: Samples::new(vec![start.elapsed().as_secs_f64()]),
+        latencies_ms: Samples::new(latencies),
         fixpoints: requests.len() as u64,
     }
 }
@@ -172,8 +184,8 @@ fn run_batched(
         label,
         batch_size,
         num_shards,
-        wall,
-        latencies_ms: latencies,
+        walls: Samples::new(vec![wall.as_secs_f64()]),
+        latencies_ms: Samples::new(latencies),
         fixpoints,
     }
 }
@@ -224,46 +236,27 @@ fn run_executor(
         label,
         batch_size,
         num_shards,
-        wall: start.elapsed(),
-        latencies_ms: latencies,
+        walls: Samples::new(vec![start.elapsed().as_secs_f64()]),
+        latencies_ms: Samples::new(latencies),
         fixpoints,
     }
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::from_env();
     // Multiples of the largest batch size, so no configuration pays a
     // trailing partial batch (and its queue-delay timer) by construction.
-    let requests_n: usize = arg_value(&args, "--requests")
-        .map(|v| v.parse().expect("--requests takes a number"))
-        .unwrap_or_else(|| scaled(96, 64));
+    let requests_n: usize = args.value("--requests").unwrap_or_else(|| scaled(96, 64));
     if requests_n < 4 {
         eprintln!("--requests must be at least 4 (the smallest batched configuration)");
         std::process::exit(2);
     }
-    let chain_length: usize = arg_value(&args, "--chain-length")
-        .map(|v| v.parse().expect("--chain-length takes a number"))
-        .unwrap_or_else(|| scaled(5, 4));
-    let repeats: usize = arg_value(&args, "--repeats")
-        .map(|v| v.parse().expect("--repeats takes a number"))
-        .unwrap_or(3)
-        .max(1);
-    let assert_not_slower = args.iter().any(|a| a == "--assert-batched-not-slower");
-    let assert_speedup: Option<f64> = arg_value(&args, "--assert-speedup")
-        .map(|v| v.parse().expect("--assert-speedup takes a number"));
-    let assert_sharded_factor: Option<f64> = arg_value(&args, "--assert-sharded-factor")
-        .map(|v| v.parse().expect("--assert-sharded-factor takes a number"));
-    let assert_persistent_factor: Option<f64> =
-        arg_value(&args, "--assert-persistent-factor").map(|v| {
-            v.parse()
-                .expect("--assert-persistent-factor takes a number")
-        });
+    let chain_length: usize = args.value("--chain-length").unwrap_or_else(|| scaled(5, 4));
+    let repeats: usize = args.value("--repeats").unwrap_or(3).max(1);
+    let assert_not_slower = args.has("--assert-batched-not-slower");
+    let assert_speedup: Option<f64> = args.value("--assert-speedup");
+    let assert_sharded_factor: Option<f64> = args.value("--assert-sharded-factor");
+    let assert_persistent_factor: Option<f64> = args.value("--assert-persistent-factor");
 
     print_header(
         "Serving throughput — batched scheduler vs one-request-at-a-time",
@@ -316,19 +309,14 @@ fn main() {
     let kernel_time_before = program.device().stats().kernel_time;
 
     // Every configuration (the baseline included) is measured several times
-    // and keeps its best run: wall times here are milliseconds, so a single
-    // descheduling blip otherwise dominates the comparison. One selection
-    // rule for every row — the CI gates compare like with like.
-    let best_of_n = |n: usize, run: &dyn Fn() -> Measurement| -> Measurement {
-        (0..n)
-            .map(|_| run())
-            .max_by(|a, b| a.samples_per_sec().total_cmp(&b.samples_per_sec()))
-            .expect("at least one repeat")
-    };
-    let best_of = |run: &dyn Fn() -> Measurement| best_of_n(repeats, run);
-    let direct = best_of(&|| run_direct("direct-loop", &requests, &run_dyn));
-    let direct_typed = best_of(&|| run_direct("direct-typed", &requests, &run_typed));
-    let sequential = best_of(&|| run_batched(&program, &requests, 1, 1));
+    // and keeps its fastest run: wall times here are milliseconds, so a
+    // single descheduling blip otherwise dominates the comparison. One
+    // selection rule for every row — the CI gates compare like with like.
+    let direct = sample(repeats, || run_direct("direct-loop", &requests, &run_dyn));
+    let direct_typed = sample(repeats, || {
+        run_direct("direct-typed", &requests, &run_typed)
+    });
+    let sequential = sample(repeats, || run_batched(&program, &requests, 1, 1));
     let batch_sizes: Vec<usize> = [4usize, 8, 16, 32]
         .iter()
         .copied()
@@ -336,7 +324,7 @@ fn main() {
         .collect();
     let batched: Vec<Measurement> = batch_sizes
         .iter()
-        .map(|b| best_of(&|| run_batched(&program, &requests, *b, 1)))
+        .map(|b| sample(repeats, || run_batched(&program, &requests, *b, 1)))
         .collect();
     // Sharded serving at the largest batch size: every pooled batch fans out
     // across 2 and 4 shard devices. Compared against the single-device run
@@ -344,7 +332,11 @@ fn main() {
     let largest_batch = *batch_sizes.last().expect("at least one batch size");
     let sharded: Vec<Measurement> = [2usize, 4]
         .iter()
-        .map(|s| best_of(&|| run_batched(&program, &requests, largest_batch, *s)))
+        .map(|s| {
+            sample(repeats, || {
+                run_batched(&program, &requests, largest_batch, *s)
+            })
+        })
         .collect();
     // The persistent-runtime pair: identical 2-way-sharded batches, with and
     // without per-batch executor construction. A smallish batch size keeps
@@ -353,10 +345,10 @@ fn main() {
     // walls measured here) keep the ≥ 1.0× CI gate off the noise floor.
     let exec_batch = 8usize.min(requests_n);
     let exec_repeats = repeats.max(5);
-    let spawn_per_batch = best_of_n(exec_repeats, &|| {
+    let spawn_per_batch = sample(exec_repeats, || {
         run_executor(&program, &requests, exec_batch, 2, false)
     });
-    let persistent = best_of_n(exec_repeats, &|| {
+    let persistent = sample(exec_repeats, || {
         run_executor(&program, &requests, exec_batch, 2, true)
     });
 
@@ -376,9 +368,9 @@ fn main() {
             m.label,
             m.fixpoints,
             m.samples_per_sec(),
-            m.percentile_ms(50.0),
-            m.percentile_ms(99.0),
-            m.wall.as_secs_f64(),
+            m.latencies_ms.percentile(50.0),
+            m.latencies_ms.percentile(99.0),
+            m.walls.min(),
             m.samples_per_sec() / seq_sps.max(1e-12),
         );
     }
@@ -402,64 +394,48 @@ fn main() {
         "\ndispatch overhead (typed vs dyn direct loop): {dispatch_overhead_factor:.3}x \
          — one match per batch API call"
     );
-    let json = format!(
-        "{{\n  \"workload\": \"clutrr\",\n  \"provenance\": \"{}\",\n  \
-         \"requests\": {},\n  \"chain_length\": {},\n  \"quick_mode\": {},\n  \
-         \"cpus\": {},\n  \
-         \"direct_loop\": {},\n  \"direct_typed\": {},\n  \
-         \"dispatch_overhead_factor\": {:.3},\n  \
-         \"kernel_time_ms\": {{\"sort_ms\": {:.3}, \"join_ms\": {:.3}, \
-         \"unique_ms\": {:.3}, \"other_ms\": {:.3}}},\n  \
-         \"sequential\": {},\n  \"batched\": [\n    {}\n  ],\n  \
-         \"sharded\": [\n    {}\n  ],\n  \
-         \"executor\": [\n    {},\n    {}\n  ],\n  \
-         \"persistent_vs_spawn_factor\": {:.3}\n}}\n",
-        ProvenanceKind::DiffTop1Proof,
-        requests_n,
-        chain_length,
-        quick_mode(),
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        direct.json(seq_sps),
-        direct_typed.json(seq_sps),
-        dispatch_overhead_factor,
-        kernel_time.sort_ns as f64 / 1e6,
-        kernel_time.join_ns as f64 / 1e6,
-        kernel_time.unique_ns as f64 / 1e6,
-        kernel_time.other_ns as f64 / 1e6,
-        sequential.json(seq_sps),
-        batched
-            .iter()
-            .map(|m| m.json(seq_sps))
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-        sharded
-            .iter()
-            .map(|m| m.json(seq_sps))
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-        spawn_per_batch.json(seq_sps),
-        persistent.json(seq_sps),
-        persistent_factor,
-    );
     // The artifact may carry an `overload` section written by the
-    // `serve_load` load generator; a throughput rerun must not silently
-    // discard it. And a degraded rerun (quick mode / 1 CPU) over a committed
-    // full-fidelity artifact warns loudly and stamps the file.
-    let mut doc = parse(&json).expect("serve artifact is valid JSON");
-    if let Some(overload) = std::fs::read_to_string("BENCH_serve.json")
-        .ok()
-        .and_then(|old| parse(&old).ok())
-        .and_then(|old| old.get("overload").cloned())
-    {
-        doc.set("overload", overload);
-        println!("preserved the existing `overload` section (rerun serve_load to refresh it)");
-    }
-    if let Some(note) = degraded_overwrite_warning("BENCH_serve.json", ArtifactMode::current(false))
-    {
-        doc.set("mode_warning", Json::from(note.as_str()));
-    }
-    std::fs::write("BENCH_serve.json", doc.to_pretty() + "\n").expect("write BENCH_serve.json");
-    println!("\nwrote BENCH_serve.json");
+    // `serve_load` load generator; a throughput rerun keeps it.
+    let artifact = Artifact::new("BENCH_serve.json", false);
+    let rows = |ms: &[Measurement]| Json::Arr(ms.iter().map(|m| m.json(seq_sps)).collect());
+    artifact.write(
+        obj([
+            ("workload", Json::from("clutrr")),
+            (
+                "provenance",
+                Json::from(ProvenanceKind::DiffTop1Proof.to_string().as_str()),
+            ),
+            ("requests", Json::from(requests_n)),
+            ("chain_length", Json::from(chain_length)),
+            ("direct_loop", direct.json(seq_sps)),
+            ("direct_typed", direct_typed.json(seq_sps)),
+            (
+                "dispatch_overhead_factor",
+                Json::Num(dispatch_overhead_factor),
+            ),
+            (
+                "kernel_time_ms",
+                obj([
+                    ("sort_ms", Json::Num(kernel_time.sort_ns as f64 / 1e6)),
+                    ("join_ms", Json::Num(kernel_time.join_ns as f64 / 1e6)),
+                    ("unique_ms", Json::Num(kernel_time.unique_ns as f64 / 1e6)),
+                    ("other_ms", Json::Num(kernel_time.other_ns as f64 / 1e6)),
+                ]),
+            ),
+            ("sequential", sequential.json(seq_sps)),
+            ("batched", rows(&batched)),
+            ("sharded", rows(&sharded)),
+            (
+                "executor",
+                Json::Arr(vec![
+                    spawn_per_batch.json(seq_sps),
+                    persistent.json(seq_sps),
+                ]),
+            ),
+            ("persistent_vs_spawn_factor", Json::Num(persistent_factor)),
+        ]),
+        Some("overload"),
+    );
 
     let largest = batched.last().expect("at least one batch size");
     let speedup = largest.samples_per_sec() / seq_sps.max(1e-12);
@@ -489,7 +465,7 @@ fn main() {
             .find(|m| m.num_shards == 2)
             .expect("2-way sharded configuration measured");
         let factor = two_way.samples_per_sec() / largest.samples_per_sec().max(1e-12);
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cpus = artifact.mode.cpus;
         if cpus < 2 {
             // Shards run on threads: with one CPU the two halves of every
             // batch serialize, so the factor only reflects the machine, not

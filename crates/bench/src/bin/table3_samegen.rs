@@ -4,8 +4,7 @@
 //! Run with `cargo run -p lobster-bench --release --bin table3_samegen`.
 
 use lobster::{Device, DeviceConfig, Lobster, Unit, Value};
-use lobster_baselines::FvlogEngine;
-use lobster_bench::{print_header, quick_mode, time_it, Outcome};
+use lobster_bench::{print_header, quick_mode, run_fvlog, run_lobster};
 use lobster_workloads::graphs::{self, NamedGraph};
 use lobster_workloads::WorkloadFacts;
 use rand::rngs::StdRng;
@@ -29,7 +28,7 @@ fn main() {
     );
     let mut rng = StdRng::seed_from_u64(3);
     println!(
-        "{:<16} {:>8} {:>12} {:>12}",
+        "{:<16} {:>8} {:>20} {:>20}",
         "dataset", "edges", "lobster (s)", "fvlog (s)"
     );
     for graph in graphs::TABLE3_GRAPHS {
@@ -56,28 +55,13 @@ fn main() {
             .device(Device::new(device_config.clone()))
             .compile_typed::<Unit>()
             .expect("program compiles");
-        let mut session = program.session();
-        facts.add_to_session(&mut session).expect("facts load");
-        let (lobster_result, lobster_time) = time_it(|| session.run());
-        let lobster = match lobster_result {
-            Ok(_) => Outcome::Ok(lobster_time),
-            Err(_) => Outcome::Oom,
-        };
+        let (lobster, _) = run_lobster(&program, &facts);
 
         // FVLog: same device budget, no APM optimizations.
-        let ram = lobster_datalog::parse(graphs::SAME_GENERATION)
-            .expect("compiles")
-            .ram;
-        let fvlog_engine = FvlogEngine::new(Device::new(device_config));
-        let discrete = facts.encoded_discrete();
-        let (fvlog_result, fvlog_time) = time_it(|| fvlog_engine.run(&ram, &discrete));
-        let fvlog = match fvlog_result {
-            Ok(_) => Outcome::Ok(fvlog_time),
-            Err(_) => Outcome::Oom,
-        };
+        let fvlog = run_fvlog(graphs::SAME_GENERATION, Device::new(device_config), &facts);
 
         println!(
-            "{:<16} {:>8} {:>12} {:>12}",
+            "{:<16} {:>8} {:>20} {:>20}",
             graph.name,
             edges.len(),
             lobster.cell(),

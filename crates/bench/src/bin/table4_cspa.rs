@@ -4,8 +4,7 @@
 //! Run with `cargo run -p lobster-bench --release --bin table4_cspa`.
 
 use lobster::{Device, Lobster, Unit};
-use lobster_baselines::FvlogEngine;
-use lobster_bench::{print_header, quick_mode, run_lobster, time_it, Outcome};
+use lobster_bench::{print_header, quick_mode, run_fvlog, run_lobster};
 use lobster_workloads::cspa;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,7 +16,7 @@ fn main() {
     );
     let mut rng = StdRng::seed_from_u64(4);
     println!(
-        "{:<12} {:>8} {:>12} {:>12} {:>10}",
+        "{:<12} {:>8} {:>20} {:>20} {:>10}",
         "dataset", "facts", "lobster (s)", "fvlog (s)", "ratio"
     );
     let mut ratios = Vec::new();
@@ -28,14 +27,7 @@ fn main() {
         let vars = if quick_mode() { vars / 4 } else { vars };
         let sample = cspa::generate(name, vars.max(40), degree, &mut rng);
         let (lobster, _) = run_lobster(&program, &sample.facts);
-        let ram = lobster_datalog::parse(cspa::PROGRAM).expect("compiles").ram;
-        let fvlog_engine = FvlogEngine::new(Device::default());
-        let discrete = sample.facts.encoded_discrete();
-        let (fvlog_result, fvlog_time) = time_it(|| fvlog_engine.run(&ram, &discrete));
-        let fvlog = match fvlog_result {
-            Ok(_) => Outcome::Ok(fvlog_time),
-            Err(_) => Outcome::Oom,
-        };
+        let fvlog = run_fvlog(cspa::PROGRAM, Device::default(), &sample.facts);
         let ratio = match (fvlog.seconds(), lobster.seconds()) {
             (Some(f), Some(l)) => {
                 ratios.push(f / l.max(1e-9));
@@ -44,7 +36,7 @@ fn main() {
             _ => "-".to_string(),
         };
         println!(
-            "{:<12} {:>8} {:>12} {:>12} {:>10}",
+            "{:<12} {:>8} {:>20} {:>20} {:>10}",
             sample.name,
             sample.facts.len(),
             lobster.cell(),
